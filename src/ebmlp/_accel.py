@@ -1,55 +1,42 @@
-"""Optional numba acceleration for the sampling kernels.
+"""Sampling-kernel backend selection.
 
-The hot loops in ``_kernels`` exist twice: as numba-compiled scalar loops
-and as vectorized numpy fallbacks. The EBMLP_BACKEND environment variable
-picks the path at import time: "numba" (default when numba is importable)
-or "numpy". The two backends draw from different RNG streams, so sample
-sequences are reproducible per (seed, backend), not across backends.
+The kernels in ``_kernels`` are vectorized numpy, and numpy is the only
+backend. The EBMLP_BACKEND environment variable and the ``backend``
+option are kept so that existing settings keep working: both accept
+"numpy" (or nothing) and reject any other name, "numba" included, with an
+error that lists what is available.
 """
 
 import os
-import warnings
 
-try:
-    from numba import njit
+BACKENDS = ("numpy",)
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
+def check_backend(backend):
+    """Return ``backend`` when it names an available backend (None picks
+    the default); raise ValueError otherwise."""
+    if backend is None or backend in BACKENDS:
+        return backend
+    raise ValueError(f"unknown backend {backend!r}; available: {', '.join(BACKENDS)} (the numba kernels were removed)")
 
 
 def _resolve_backend():
     choice = os.environ.get("EBMLP_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError("EBMLP_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise ValueError(f"unknown EBMLP_BACKEND value {choice!r}; use 'numba' or 'numpy'")
-    if HAVE_NUMBA:
-        return "numba"
-    warnings.warn("numba not available; using the numpy sampling kernels")
-    return "numpy"
+    try:
+        check_backend(choice or None)
+    except ValueError as exc:
+        raise ValueError(f"EBMLP_BACKEND: {exc}") from None
+    return BACKENDS[0]
 
 
 BACKEND = _resolve_backend()
 
 
 def active_backend():
-    """Name of the sampling-kernel backend selected at import time."""
+    """Name of the sampling-kernel backend in use."""
     return BACKEND
 
 
 def available_backends():
     """Backends usable on this machine, preferred first."""
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
+    return BACKENDS

@@ -1,240 +1,94 @@
 """Sweep kernels for the Gibbs and simulated-anneal samplers.
 
-Every kernel exists twice with the same sampling semantics: a scalar loop
-compiled by numba and a vectorized numpy fallback. The dispatchers pick the
-variant from the ``backend`` argument (default: the module-level selection
-in :mod:`ebmlp._accel`). The numba kernels seed numba's internal MT19937;
-the numpy kernels use a PCG64 Generator. Streams therefore differ between
-backends while staying reproducible per (seed, backend).
+Both kernels sample a whole minibatch in one call: one row of clamped
+fields per data point, many reads per row. The clamped graph is bipartite
+(hidden units couple only to outputs), so every sweep updates the whole
+hidden layer as one block and then the whole output layer as one block;
+sites within a layer do not interact, which makes each block update equal
+in distribution to a site-by-site scan of that layer. Draws come from a
+numpy PCG64 Generator and are reproducible per seed; the layout of the
+stream depends on the batch shape, so a row sampled alone and the same row
+sampled inside a batch get different (equally valid) reads.
 """
 
 import numpy as np
 
-from ._accel import BACKEND, njit
-from .core import sigmoid
-
-
-@njit(cache=True)
-def _gibbs_chain_njit(a, w2, c, reads, burn_in, thin, seed):
-    np.random.seed(seed)
-    kk = a.shape[0]
-    mm = c.shape[0]
-    k = np.empty(kk, np.float64)
-    y = np.empty(mm, np.float64)
-    for j in range(kk):
-        k[j] = 1.0 if np.random.random() < 0.5 else 0.0
-    for i in range(mm):
-        y[i] = 1.0 if np.random.random() < 0.5 else 0.0
-    out = np.empty((reads, kk + mm), np.uint8)
-    rec = 0
-    total = burn_in + reads * thin
-    for sweep in range(1, total + 1):
-        # k_j are conditionally independent given y, so the in-place scan
-        # equals a simultaneous block update; likewise for y given k.
-        for j in range(kk):
-            z = a[j]
-            for i in range(mm):
-                z += w2[i, j] * y[i]
-            p = 1.0 / (1.0 + np.exp(-z))
-            k[j] = 1.0 if np.random.random() < p else 0.0
-        for i in range(mm):
-            z = c[i]
-            for j in range(kk):
-                z += w2[i, j] * k[j]
-            p = 1.0 / (1.0 + np.exp(-z))
-            y[i] = 1.0 if np.random.random() < p else 0.0
-        if sweep > burn_in and (sweep - burn_in) % thin == 0:
-            for j in range(kk):
-                out[rec, j] = np.uint8(k[j])
-            for i in range(mm):
-                out[rec, kk + i] = np.uint8(y[i])
-            rec += 1
-    return out
-
-
-def _gibbs_chain_numpy(a, w2, c, reads, burn_in, thin, seed):
-    rng = np.random.default_rng(seed)
-    kk = a.shape[0]
-    mm = c.shape[0]
-    k = (rng.random(kk) < 0.5).astype(np.float64)
-    y = (rng.random(mm) < 0.5).astype(np.float64)
-    out = np.empty((reads, kk + mm), np.uint8)
-    rec = 0
-    total = burn_in + reads * thin
-    for sweep in range(1, total + 1):
-        k = (rng.random(kk) < sigmoid(a + y @ w2)).astype(np.float64)
-        y = (rng.random(mm) < sigmoid(w2 @ k + c)).astype(np.float64)
-        if sweep > burn_in and (sweep - burn_in) % thin == 0:
-            out[rec, :kk] = k
-            out[rec, kk:] = y
-            rec += 1
-    return out
-
-
-def gibbs_chain(a, w2, c, reads, burn_in, thin, seed, backend=None):
-    """Block-Gibbs reads of (k, y) with x clamped into a = W1 x + b.
-
-    Alternates k | y ~ Bernoulli(sigmoid(a + W2^T y)) with
-    y | k ~ Bernoulli(sigmoid(W2 k + c)) from a uniform start, discards
-    burn_in sweeps, then records every thin-th sweep. Returns a
-    (reads, K+M) uint8 array, k bits first.
-    """
-    backend = backend or BACKEND
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    w2 = np.ascontiguousarray(w2, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    if reads < 1:
-        raise ValueError("reads must be >= 1")
-    if backend == "numba":
-        return _gibbs_chain_njit(a, w2, c, reads, burn_in, thin, int(seed) & 0xFFFFFFFF)
-    if backend == "numpy":
-        return _gibbs_chain_numpy(a, w2, c, reads, burn_in, thin, int(seed))
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-@njit(cache=True)
-def _gibbs_block_njit(a_rows, w2, c, reads, burn_in, thin, seed):
-    np.random.seed(seed)
-    n_points = a_rows.shape[0]
-    kk = a_rows.shape[1]
-    mm = c.shape[0]
-    out = np.empty((n_points, reads, kk + mm), np.uint8)
-    k = np.empty(kk, np.float64)
-    y = np.empty(mm, np.float64)
-    total = burn_in + reads * thin
-    for p in range(n_points):
-        for j in range(kk):
-            k[j] = 1.0 if np.random.random() < 0.5 else 0.0
-        for i in range(mm):
-            y[i] = 1.0 if np.random.random() < 0.5 else 0.0
-        rec = 0
-        for sweep in range(1, total + 1):
-            for j in range(kk):
-                z = a_rows[p, j]
-                for i in range(mm):
-                    z += w2[i, j] * y[i]
-                pk = 1.0 / (1.0 + np.exp(-z))
-                k[j] = 1.0 if np.random.random() < pk else 0.0
-            for i in range(mm):
-                z = c[i]
-                for j in range(kk):
-                    z += w2[i, j] * k[j]
-                py = 1.0 / (1.0 + np.exp(-z))
-                y[i] = 1.0 if np.random.random() < py else 0.0
-            if sweep > burn_in and (sweep - burn_in) % thin == 0:
-                for j in range(kk):
-                    out[p, rec, j] = np.uint8(k[j])
-                for i in range(mm):
-                    out[p, rec, kk + i] = np.uint8(y[i])
-                rec += 1
-    return out
-
-
-def _gibbs_block_numpy(a_rows, w2, c, reads, burn_in, thin, seed):
-    rng = np.random.default_rng(seed)
-    n_points, kk = a_rows.shape
-    mm = c.shape[0]
-    k = (rng.random((n_points, kk)) < 0.5).astype(np.float64)
-    y = (rng.random((n_points, mm)) < 0.5).astype(np.float64)
-    out = np.empty((n_points, reads, kk + mm), np.uint8)
-    rec = 0
-    total = burn_in + reads * thin
-    for sweep in range(1, total + 1):
-        k = (rng.random((n_points, kk)) < sigmoid(a_rows + y @ w2)).astype(np.float64)
-        y = (rng.random((n_points, mm)) < sigmoid(k @ w2.T + c)).astype(np.float64)
-        if sweep > burn_in and (sweep - burn_in) % thin == 0:
-            out[:, rec, :kk] = k
-            out[:, rec, kk:] = y
-            rec += 1
-    return out
+from ._accel import check_backend
 
 
 def gibbs_block(a_rows, w2, c, reads, burn_in, thin, seed, backend=None):
-    """Independent Gibbs chains for many clamped points in one call.
+    """Independent block-Gibbs chains, one per clamped point.
 
-    ``a_rows`` holds one W1 x + b row per data point. Chain semantics per
-    point match gibbs_chain; the RNG stream layout differs between this
-    entry point and per-point gibbs_chain calls (and between backends), so
-    equality of draws across the two APIs is not part of the contract.
-    Returns (points, reads, K+M) uint8.
+    ``a_rows`` holds one W1 x + b row per data point. Each chain starts
+    from uniform bits and alternates k | y ~ Bernoulli(sigmoid(a + W2^T y))
+    with y | k ~ Bernoulli(sigmoid(W2 k + c)); it discards burn_in sweeps,
+    then records every thin-th sweep. Returns (points, reads, K+M) uint8,
+    k bits first.
     """
-    backend = backend or BACKEND
+    check_backend(backend)
     a_rows = np.ascontiguousarray(np.atleast_2d(a_rows), dtype=np.float64)
     w2 = np.ascontiguousarray(w2, dtype=np.float64)
     c = np.ascontiguousarray(c, dtype=np.float64)
     if reads < 1:
         raise ValueError("reads must be >= 1")
-    if backend == "numba":
-        return _gibbs_block_njit(a_rows, w2, c, reads, burn_in, thin, int(seed) & 0xFFFFFFFF)
-    if backend == "numpy":
-        return _gibbs_block_numpy(a_rows, w2, c, reads, burn_in, thin, int(seed))
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-@njit(cache=True)
-def _anneal_reads_njit(h, jt, betas, reads, seed):
-    np.random.seed(seed)
-    n = h.shape[0]
-    out = np.empty((reads, n), np.uint8)
-    s = np.empty(n, np.float64)
-    lam = np.empty(n, np.float64)
-    for r in range(reads):
-        for i in range(n):
-            s[i] = 1.0 if np.random.random() < 0.5 else -1.0
-        # Local fields lam_i = h_i + sum_j (J + J^T)_ij s_j; jt has zero
-        # diagonal so a flip of spin i never feeds back into lam_i.
-        for i in range(n):
-            z = h[i]
-            for j in range(n):
-                z += jt[i, j] * s[j]
-            lam[i] = z
-        for t in range(betas.shape[0]):
-            beta = betas[t]
-            for i in range(n):
-                de = 2.0 * s[i] * lam[i]
-                if de <= 0.0 or np.random.random() < np.exp(-beta * de):
-                    old = s[i]
-                    s[i] = -old
-                    for j in range(n):
-                        lam[j] -= 2.0 * old * jt[j, i]
-        for i in range(n):
-            out[r, i] = np.uint8((s[i] + 1.0) * 0.5)
+    rng = np.random.default_rng(int(seed))
+    n_points, kk = a_rows.shape
+    mm = c.shape[0]
+    k = (rng.random((n_points, kk)) < 0.5).astype(np.float64)
+    y = (rng.random((n_points, mm)) < 0.5).astype(np.float64)
+    out = np.empty((n_points, reads, kk + mm), np.uint8)
+    # u < sigmoid(z) exactly when logit(u) < z, and logit(u) of a uniform u
+    # is standard logistic noise: one draw and one comparison per bit.
+    for sweep in range(1, burn_in + reads * thin + 1):
+        k = (rng.logistic(size=(n_points, kk)) < a_rows + y @ w2).astype(np.float64)
+        y = (rng.logistic(size=(n_points, mm)) < k @ w2.T + c).astype(np.float64)
+        rec, off = divmod(sweep - burn_in, thin)
+        if sweep > burn_in and off == 0:
+            out[:, rec - 1, :kk] = k
+            out[:, rec - 1, kk:] = y
     return out
 
 
-def _anneal_reads_numpy(h, jt, betas, reads, seed):
-    rng = np.random.default_rng(seed)
-    n = h.shape[0]
-    s = np.where(rng.random((reads, n)) < 0.5, 1.0, -1.0)
-    lam = s @ jt + h
-    for beta in betas:
-        for i in range(n):
-            de = 2.0 * s[:, i] * lam[:, i]
-            acc = rng.random(reads) < np.exp(-beta * np.maximum(de, 0.0))
-            if np.any(acc):
-                old = s[acc, i]
-                lam[acc] -= np.outer(2.0 * old, jt[i])
-                s[acc, i] = -old
-    return ((s + 1.0) * 0.5).astype(np.uint8)
+def gibbs_chain(a, w2, c, reads, burn_in, thin, seed, backend=None):
+    """gibbs_block for a single clamped point; returns (reads, K+M) uint8."""
+    return gibbs_block(np.asarray(a)[None], w2, c, reads, burn_in, thin, seed, backend)[0]
 
 
-def anneal_reads(h, jt, betas, reads, seed, backend=None):
-    """Independent single-flip Metropolis anneals on an Ising model.
+def anneal_block(h_rows, coupling, betas, reads, seed, backend=None):
+    """Independent Metropolis anneals of a bipartite Ising model, for many
+    clamped points in one call.
 
-    Each read starts from uniform random spins and scans sites once per
-    inverse temperature in ``betas`` (flip cost 2 s_i lam_i, accepted when
-    nonpositive or with probability exp(-beta * dE)). ``jt`` must be the
-    symmetric coupling matrix J + J^T. Returns (reads, n) uint8 bits under
+    ``h_rows`` is (points, K+M): one row of Ising fields per point, hidden
+    spins first. ``coupling`` is the (K, M) hidden-output block J[:K, K:]
+    of the strictly upper-triangular J, shared by every point; there is no
+    coupling within a layer. Each read starts from uniform random spins.
+    Per inverse temperature in ``betas`` one sweep makes a Metropolis
+    decision for every hidden spin at once, then for every output spin
+    (flip cost dE = 2 s_i lam_i, accepted when nonpositive or with
+    probability exp(-beta * dE)). Within a layer the local fields lam_i do
+    not depend on each other, so this is the hidden-first single-site scan
+    in distribution. Returns (points, reads, K+M) uint8 bits under
     q = (s + 1) / 2.
     """
-    backend = backend or BACKEND
-    h = np.ascontiguousarray(h, dtype=np.float64)
-    jt = np.ascontiguousarray(jt, dtype=np.float64)
+    check_backend(backend)
+    h_rows = np.ascontiguousarray(np.atleast_2d(h_rows), dtype=np.float64)
+    coupling = np.ascontiguousarray(coupling, dtype=np.float64)
     betas = np.ascontiguousarray(betas, dtype=np.float64)
+    kk, mm = coupling.shape
+    if h_rows.shape[1] != kk + mm:
+        raise ValueError(f"h_rows has {h_rows.shape[1]} columns, coupling needs {kk}+{mm}")
     if reads < 1:
         raise ValueError("reads must be >= 1")
-    if backend == "numba":
-        return _anneal_reads_njit(h, jt, betas, reads, int(seed) & 0xFFFFFFFF)
-    if backend == "numpy":
-        return _anneal_reads_numpy(h, jt, betas, reads, int(seed))
-    raise ValueError(f"unknown backend {backend!r}")
+    rng = np.random.default_rng(int(seed))
+    n_points = h_rows.shape[0]
+    s = np.where(rng.random((n_points, reads, kk + mm)) < 0.5, 1.0, -1.0)
+    s_k, s_y = np.ascontiguousarray(s[..., :kk]), np.ascontiguousarray(s[..., kk:])
+    h_k, h_y = h_rows[:, None, :kk], h_rows[:, None, kk:]
+    # Metropolis accepts with probability min(1, exp(-beta dE)), which is
+    # the event beta dE <= e for a standard exponential draw e = -log(u).
+    for beta in betas:
+        cost = (2.0 * beta) * s_k * (h_k + s_y @ coupling.T)
+        np.negative(s_k, out=s_k, where=cost <= rng.standard_exponential(s_k.shape))
+        cost = (2.0 * beta) * s_y * (h_y + s_k @ coupling)
+        np.negative(s_y, out=s_y, where=cost <= rng.standard_exponential(s_y.shape))
+    return np.concatenate((s_k > 0.0, s_y > 0.0), axis=2).astype(np.uint8)

@@ -106,10 +106,11 @@ def _y_scores(model, x2d):
     return y_states, scores
 
 
-def _y_index(y2d):
-    """Row index of each y pattern under the LSB-first state order."""
-    weights = 1 << np.arange(y2d.shape[1], dtype=np.int64)
-    return np.asarray(y2d, dtype=np.int64) @ weights
+def _y_index(y_bits):
+    """Index of each y pattern (the last axis) under the LSB-first state
+    order."""
+    weights = 1 << np.arange(y_bits.shape[-1], dtype=np.int64)
+    return np.asarray(y_bits, dtype=np.int64) @ weights
 
 
 def log_conditional_y(model, x):
@@ -164,74 +165,57 @@ def positive_phase(model, batch):
     return GradientSet(s.T @ x / n, y.T @ s / n, s.mean(axis=0), y.mean(axis=0))
 
 
-def _phase_from_y_distribution(model, x, y_patterns, weights):
-    """Phase statistics for one x with y distributed per ``weights``."""
-    a = model.w1 @ x + model.b + y_patterns @ model.w2
-    s = sigmoid(a)
-    s_bar = weights @ s
-    dw1 = np.outer(s_bar, x)
-    dw2 = (y_patterns * weights[:, None]).T @ s
-    return dw1, dw2, s_bar, weights @ y_patterns
+def _phase_from_y_weights(model, x, weights):
+    """Negative-phase statistics for inputs ``x`` (P, N) when the y of
+    example p follows ``weights[p]`` over the 2^M output patterns in
+    LSB-first order: sigma(W1 x + b + W2^T y) is averaged over y, and the
+    batch means of the four blocks are returned."""
+    y_states = enumerate_states(model.n_outputs).astype(np.float64)
+    s = sigmoid((x @ model.w1.T + model.b)[:, None, :] + (y_states @ model.w2)[None, :, :])
+    ws = weights[:, :, None] * s
+    s_bar = ws.sum(axis=1)
+    n = x.shape[0]
+    dw2 = y_states.T @ ws.sum(axis=0) / n
+    return GradientSet(s_bar.T @ x / n, dw2, s_bar.mean(axis=0), (weights @ y_states).mean(axis=0))
 
 
 def exact_negative_phase(model, batch):
     """Closed-form negative phase: y is marginalized exactly over P(y|x)
     (enumeration over output patterns only, so any hidden width works)."""
     x, _ = as_batch_arrays(batch)
-    n = x.shape[0]
-    dw1 = np.zeros_like(model.w1)
-    dw2 = np.zeros_like(model.w2)
-    db = np.zeros_like(model.b)
-    dc = np.zeros_like(model.c)
-    for xi in x:
-        y_states, logp = log_conditional_y(model, xi)
-        t1, t2, tb, tc = _phase_from_y_distribution(model, xi, y_states.astype(np.float64), np.exp(logp))
-        dw1 += t1
-        dw2 += t2
-        db += tb
-        dc += tc
-    return GradientSet(dw1 / n, dw2 / n, db / n, dc / n)
+    _, scores = _y_scores(model, x)
+    return _phase_from_y_weights(model, x, np.exp(scores - logsumexp(scores, axis=1)[:, None]))
 
 
 def negative_phase(model, batch, sampler, reads=None, base_seed=None, use_sampled_hidden=False):
     """Sampled negative phase.
 
-    Draws ``reads`` samples of (k, y) from each example's conditional. The
-    default estimator keeps only the sampled y and recomputes
-    sigma(W1 x + b + W2^T y) from it; ``use_sampled_hidden=True`` uses the
-    sampled k bits directly instead. Per-example sampler seeds are derived
-    as base_seed XOR example-index and recorded by the sampler.
+    One ``sampler.sample_batch`` call, seeded with ``base_seed`` (default:
+    the sampler's configured seed), draws ``reads`` samples of (k, y) from
+    every example's conditional; both estimators read the raw samples
+    directly. The default keeps only the sampled y: a bincount over the y
+    patterns gives each example's empirical P(y|x), and
+    sigma(W1 x + b + W2^T y) is recomputed per pattern.
+    ``use_sampled_hidden=True`` averages the sampled k bits instead.
     """
     if sampler is None:
         return exact_negative_phase(model, batch)
     x, _ = as_batch_arrays(batch)
-    n = x.shape[0]
     if base_seed is None:
         base_seed = sampler.config.seed
-    dw1 = np.zeros_like(model.w1)
-    dw2 = np.zeros_like(model.w2)
-    db = np.zeros_like(model.b)
-    dc = np.zeros_like(model.c)
+    raw = sampler.sample_batch(model, x, reads=reads, seed=base_seed)
+    n, n_reads, _ = raw.shape
     kk = model.n_hidden
-    for i, xi in enumerate(x):
-        sample_set = sampler.sample(model, xi, reads=reads, seed=derive_seed(base_seed, i))
-        weights = sample_set.counts / sample_set.total_reads
-        if use_sampled_hidden:
-            k_bits = sample_set.assignments[:, :kk].astype(np.float64)
-            y_bits = sample_set.assignments[:, kk:].astype(np.float64)
-            s_bar = weights @ k_bits
-            dw1 += np.outer(s_bar, xi)
-            dw2 += (y_bits * weights[:, None]).T @ k_bits
-            db += s_bar
-            dc += weights @ y_bits
-        else:
-            y_patterns, y_weights = sample_set.y_distribution()
-            t1, t2, tb, tc = _phase_from_y_distribution(model, xi, y_patterns, y_weights)
-            dw1 += t1
-            dw2 += t2
-            db += tb
-            dc += tc
-    return GradientSet(dw1 / n, dw2 / n, db / n, dc / n)
+    if use_sampled_hidden:
+        k_bits = raw[:, :, :kk].astype(np.float64)
+        y_bits = raw[:, :, kk:].astype(np.float64)
+        s_bar = k_bits.mean(axis=1)
+        dw2 = y_bits.reshape(n * n_reads, -1).T @ k_bits.reshape(n * n_reads, kk) / (n * n_reads)
+        return GradientSet(s_bar.T @ x / n, dw2, s_bar.mean(axis=0), y_bits.mean(axis=(0, 1)))
+    n_patterns = 2**model.n_outputs
+    index = _y_index(raw[:, :, kk:]) + n_patterns * np.arange(n)[:, None]
+    counts = np.bincount(index.ravel(), minlength=n * n_patterns).reshape(n, n_patterns)
+    return _phase_from_y_weights(model, x, counts / n_reads)
 
 
 def grad_conditional_ll(model, batch, sampler=None, reads=None, base_seed=None, use_sampled_hidden=False):

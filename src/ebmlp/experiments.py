@@ -12,11 +12,12 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ._accel import available_backends
+from ._accel import available_backends, check_backend
 from ._kernels import gibbs_block
 from .bqm import bqm_to_ising, bqm_to_text, build_conditional_bqm, clamp_to_hardware, ising_to_text
 from .core import derive_seed, rng_from_seed
@@ -84,6 +85,7 @@ class RunConfig:
         self.sizes = tuple(int(s) for s in self.sizes)
         if any(s < 1 for s in self.sizes):
             raise ValueError("benchmark sizes must be positive")
+        check_backend(self.backend)
 
     def sampler_config(self, seed):
         return SamplerConfig(
@@ -217,7 +219,9 @@ def run_track(config, train_set=None, test_set=None, progress=None):
 
     A trial that raises is marked failed and the run continues. Writes
     trace_<trial>.csv per trial plus summary.json into the output
-    directory; returns (traces, summaries, aggregate).
+    directory, after removing those files from any earlier run there so a
+    reused directory never mixes runs; returns (traces, summaries,
+    aggregate).
     """
     if config.track not in TRACKS:
         raise ValueError(f"run_track handles {TRACKS}, not {config.track!r}")
@@ -225,6 +229,8 @@ def run_track(config, train_set=None, test_set=None, progress=None):
         train_set, test_set = load_task(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in [*out.glob("trace_*.csv"), out / "summary.json"]:
+        stale.unlink(missing_ok=True)
     traces, summaries = [], []
     for trial in range(config.trials):
         try:
@@ -298,20 +304,27 @@ def write_bqm_dump(model, x, beta_eff, path):
     Path(path).write_text("\n".join(lines))
 
 
-def _median_time(stmt, repeats, target=0.005, max_reps=100000):
-    """Median per-call seconds over `repeats` calibrated measurements."""
-    stmt()  # warm-up: first call may compile
+def _seconds_per_call(stmt, reps):
     t0 = time.perf_counter()
-    stmt()
-    once = time.perf_counter() - t0
-    reps = max(1, min(max_reps, math.ceil(target / max(once, 1e-9))))
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            stmt()
-        samples.append((time.perf_counter() - t0) / reps)
-    return float(np.median(samples)), reps
+    for _ in range(reps):
+        stmt()
+    return (time.perf_counter() - t0) / reps
+
+
+def _calibrated_reps(stmt, target, max_reps=100000):
+    """Warm ``stmt`` up, then pick how many calls take about ``target``
+    seconds together, from the fastest of three single calls."""
+    stmt()  # warm-up: the first call allocates and fills caches
+    once = min(_seconds_per_call(stmt, 1) for _ in range(3))
+    return max(1, min(max_reps, math.ceil(target / max(once, 1e-9))))
+
+
+def _mlp_matmul(inputs, w1, w2):
+    return (inputs @ w1.T) @ w2.T
+
+
+def _gibbs_conditional(inputs, w1, w2, b, c, reads, burn_in, seed, backend):
+    return gibbs_block(inputs @ w1.T + b, w2, c, reads, burn_in, 1, seed, backend=backend)
 
 
 def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, backends=None, batch=1024, reads=1, burn_in=0):
@@ -323,9 +336,11 @@ def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, backends=Non
     inputs (the visible-width-dependent clamp W1 x + b) plus the Gibbs
     reads drawn from it. Sweeps cost the same at every width, so the
     defaults keep the sweep budget minimal; raising reads/burn_in only
-    shifts the whole series up. Returns rows of dicts; medians are
-    wall-clock and vary between machines and runs, so only their
-    ordering is meaningful.
+    shifts the whole series up. Every series is warmed up and calibrated
+    first; then each of ``repeats`` rounds times every series once, so
+    drift in host speed hits all sizes alike. Returns rows of dicts;
+    medians are wall-clock and vary between machines and runs, so only
+    their ordering is meaningful.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
@@ -333,28 +348,25 @@ def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, backends=Non
     if backends is None:
         backends = available_backends()
     rng = rng_from_seed([seed, 0xBE7C])
-    rows = []
+    series = []
     for n in sizes:
         w1 = rng.normal(scale=0.01, size=(1, n))
         w2 = rng.normal(scale=0.01, size=(1, 1))
         b = np.zeros(1)
         c = np.zeros(1)
         inputs = rng.random((batch, n))
-
-        def mlp_stmt():
-            return (inputs @ w1.T) @ w2.T
-
-        median, reps = _median_time(mlp_stmt, repeats, target=0.02)
-        rows.append({"component": "mlp_matmul", "backend": "numpy", "size": n, "median_seconds": median, "reps": reps})
+        series.append(({"component": "mlp_matmul", "backend": "numpy", "size": n}, partial(_mlp_matmul, inputs, w1, w2)))
         for backend in backends:
-
-            def gibbs_stmt():
-                a_rows = inputs @ w1.T + b
-                return gibbs_block(a_rows, w2, c, reads, burn_in, 1, seed, backend=backend)
-
-            median, reps = _median_time(gibbs_stmt, repeats, target=0.02)
-            rows.append({"component": "gibbs_conditional", "backend": backend, "size": n, "median_seconds": median, "reps": reps})
-    return rows
+            stmt = partial(_gibbs_conditional, inputs, w1, w2, b, c, reads, burn_in, seed, backend)
+            series.append(({"component": "gibbs_conditional", "backend": backend, "size": n}, stmt))
+    reps = [_calibrated_reps(stmt, target=0.02) for _, stmt in series]
+    samples = [[] for _ in series]
+    for _ in range(repeats):
+        for (_, stmt), r, out in zip(series, reps, samples):
+            out.append(_seconds_per_call(stmt, r))
+    return [
+        {**row, "median_seconds": float(np.median(times)), "reps": r} for (row, _), r, times in zip(series, reps, samples)
+    ]
 
 
 BENCH_COLUMNS = ("component", "backend", "size", "median_seconds", "reps")

@@ -7,13 +7,18 @@ build_conditional_bqm -> bqm_to_ising -> clamp_to_hardware -> Metropolis
 anneal). With beta_sim equal to the beta_eff used in the encoding and no
 coefficient clipping, the anneal's end-of-schedule distribution matches
 the conditional it was built from.
+
+Each sampler draws a whole minibatch of clamped inputs in one kernel call
+(``sample_batch``, raw reads); ``sample`` aggregates one input's reads
+into a SampleSet.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import anneal_reads, gibbs_chain
+from ._accel import check_backend
+from ._kernels import anneal_block, gibbs_block, gibbs_chain  # noqa: F401 - gibbs_chain re-exported
 from .bqm import bqm_to_ising, build_conditional_bqm, clamp_to_hardware
 from .core import rng_from_seed
 
@@ -53,6 +58,7 @@ class SamplerConfig:
             raise ValueError(f"anneal_schedule must be one of {ANNEAL_SCHEDULES}")
         if self.beta_sim is not None and self.beta_sim <= 0.0:
             raise ValueError("beta_sim must be positive when given")
+        check_backend(self.backend)
 
     @property
     def effective_beta_sim(self):
@@ -122,15 +128,33 @@ class SampleSet:
 
 
 class Sampler:
-    """Common construction and seed plumbing; subclasses draw the reads."""
+    """Common construction and seed plumbing.
+
+    Subclasses implement ``sample_batch``, which draws raw reads for a
+    whole minibatch from one seed; ``sample`` aggregates one clamped
+    input's reads into a SampleSet, with ``metadata`` describing them.
+    """
 
     name = "base"
 
     def __init__(self, config=None):
         self.config = config or SamplerConfig()
 
-    def sample(self, model, x, reads=None, seed=None):
+    def sample_batch(self, model, xs, reads=None, seed=None):
+        """Raw reads for every row of ``xs``: a (rows, reads, K+M) uint8
+        array, k bits first. One seed covers the whole batch."""
         raise NotImplementedError
+
+    def metadata(self, model, x, seed):
+        """Sampler name, the beta the reads target, and the seed used."""
+        return {"sampler": self.name, "beta": 1.0, "seed": seed}
+
+    def sample(self, model, x, reads=None, seed=None):
+        """Aggregated reads for one clamped input."""
+        reads, seed = self._resolve(reads, seed)
+        x = np.asarray(x, dtype=np.float64)
+        raw = self.sample_batch(model, x[None, :], reads, seed)[0]
+        return SampleSet.from_reads(raw, model.n_hidden, self.metadata(model, x, seed))
 
     def _resolve(self, reads, seed):
         if reads is None:
@@ -140,6 +164,10 @@ class Sampler:
         if reads < 1:
             raise ValueError("reads must be >= 1")
         return int(reads), int(seed)
+
+
+def _rows(xs):
+    return np.atleast_2d(np.asarray(xs, dtype=np.float64))
 
 
 class ExactSampler(Sampler):
@@ -152,13 +180,14 @@ class ExactSampler(Sampler):
 
         return exact_conditional(model, x)
 
-    def sample(self, model, x, reads=None, seed=None):
+    def sample_batch(self, model, xs, reads=None, seed=None):
         reads, seed = self._resolve(reads, seed)
-        dist = self.distribution(model, x)
-        counts = rng_from_seed(seed).multinomial(reads, dist.probs)
-        hit = counts > 0
-        meta = {"sampler": self.name, "beta": 1.0, "seed": seed}
-        return SampleSet(dist.states[hit], counts[hit], reads, model.n_hidden, meta)
+        rng = rng_from_seed(seed)
+        batch = []
+        for x in _rows(xs):
+            dist = self.distribution(model, x)
+            batch.append(np.repeat(dist.states, rng.multinomial(reads, dist.probs), axis=0))
+        return np.stack(batch)
 
 
 class GibbsSampler(Sampler):
@@ -166,21 +195,26 @@ class GibbsSampler(Sampler):
 
     name = "gibbs"
 
-    def sample(self, model, x, reads=None, seed=None):
+    def sample_batch(self, model, xs, reads=None, seed=None):
         reads, seed = self._resolve(reads, seed)
-        a = model.w1 @ np.asarray(x, dtype=np.float64) + model.b
-        raw = gibbs_chain(
-            a,
-            model.w2,
-            model.c,
-            reads,
-            self.config.burn_in,
-            self.config.thin,
-            seed,
-            backend=self.config.backend,
-        )
-        meta = {"sampler": self.name, "beta": 1.0, "seed": seed, "burn_in": self.config.burn_in, "thin": self.config.thin}
-        return SampleSet.from_reads(raw, model.n_hidden, meta)
+        a_rows = _rows(xs) @ model.w1.T + model.b
+        cfg = self.config
+        return gibbs_block(a_rows, model.w2, model.c, reads, cfg.burn_in, cfg.thin, seed, backend=cfg.backend)
+
+    def metadata(self, model, x, seed):
+        return {**super().metadata(model, x, seed), "burn_in": self.config.burn_in, "thin": self.config.thin}
+
+
+def layer_coupling(ising, n_hidden):
+    """The hidden-output block J[:K, K:] of a clamped Ising model.
+
+    Raises ValueError when J couples two hidden or two output units: the
+    layer-block anneal would then sample the wrong distribution.
+    """
+    j = ising.j
+    if np.any(j[:n_hidden, :n_hidden]) or np.any(j[n_hidden:, n_hidden:]):
+        raise ValueError("Ising couplings within a layer: the layer-block anneal needs a bipartite hidden-output graph")
+    return j[:n_hidden, n_hidden:]
 
 
 class SimAnnealSampler(Sampler):
@@ -198,18 +232,18 @@ class SimAnnealSampler(Sampler):
         bqm = build_conditional_bqm(model, x, self.config.beta_eff)
         return clamp_to_hardware(bqm_to_ising(bqm))
 
-    def sample(self, model, x, reads=None, seed=None):
+    def sample_batch(self, model, xs, reads=None, seed=None):
         reads, seed = self._resolve(reads, seed)
-        ising, report = self.prepare(model, x)
-        raw = anneal_reads(
-            ising.h,
-            ising.symmetric_couplings(),
-            self.config.anneal_betas(),
-            reads,
-            seed,
-            backend=self.config.backend,
-        )
-        meta = {
+        prepared = [self.prepare(model, x)[0] for x in _rows(xs)]
+        # x enters only the fields; the couplings come from W2 alone, so
+        # every row shares the first row's.
+        coupling = layer_coupling(prepared[0], model.n_hidden)
+        h_rows = np.stack([ising.h for ising in prepared])
+        return anneal_block(h_rows, coupling, self.config.anneal_betas(), reads, seed, backend=self.config.backend)
+
+    def metadata(self, model, x, seed):
+        _, report = self.prepare(model, x)
+        return {
             "sampler": self.name,
             "beta": self.config.effective_beta_sim,
             "beta_eff": self.config.beta_eff,
@@ -217,7 +251,6 @@ class SimAnnealSampler(Sampler):
             "clipped_coefficients": len(report),
             "max_clip_shift": report.max_shift,
         }
-        return SampleSet.from_reads(raw, model.n_hidden, meta)
 
 
 SAMPLERS = {cls.name: cls for cls in (ExactSampler, GibbsSampler, SimAnnealSampler)}

@@ -209,6 +209,22 @@ class TestSummarizeCommand:
         assert len(payload["trials"]) == 2
         assert payload["trials"][0]["seed"] == 0
 
+    def test_rerun_with_fewer_trials_replaces_outputs(self, capsys, config_file, tmp_path):
+        config = str(config_file(runs="reuse"))
+        code, _, _ = run_cli(capsys, "train", "--track", "classical1", "--config", config, "--trials", "3")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "train", "--track", "classical1", "--config", config, "--trials", "1")
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "reuse").glob("trace_*.csv")) == ["trace_0.csv"]
+        summary = json.loads((tmp_path / "reuse" / "summary.json").read_text())
+        assert len(summary["trials"]) == 1
+
+        code, out, err = run_cli(capsys, "summarize", str(tmp_path / "reuse"))
+        assert code == 0 and not err
+        payload = json.loads("\n".join(out))
+        assert payload["aggregate"] == summary["aggregate"]
+        assert payload["aggregate"]["n_trials"] == 1
+
     def test_empty_directory_is_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "summarize", str(tmp_path))
         assert code == 1

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from ebmlp.core import rng_from_seed
+from ebmlp.core import rng_from_seed, sigmoid
 from ebmlp.data import synthetic_task
 from ebmlp.ebm import (
     ENUMERATION_BOUND,
@@ -30,8 +30,8 @@ from ebmlp.ebm import (
     state_energies,
     train_ebm,
 )
-from ebmlp.models import EbmModel
-from ebmlp.samplers import ExactSampler, SamplerConfig
+from ebmlp.models import EbmModel, GradientSet
+from ebmlp.samplers import ExactSampler, GibbsSampler, SampleSet, SamplerConfig, SimAnnealSampler
 from ebmlp.training import TrainOptions
 
 
@@ -375,6 +375,43 @@ class TestSampledNegativePhase:
         assert (a - b).max_abs() == 0.0
         c = negative_phase(model, (x, y), sampler, reads=50, base_seed=124)
         assert (a - c).max_abs() > 0.0
+
+
+def aggregated_negative_phase(model, x, raw, use_sampled_hidden):
+    """Reference negative phase: each example's raw reads collapsed into a
+    SampleSet, then weighted by unique assignment or unique y pattern."""
+    kk = model.n_hidden
+    terms = []
+    for xi, reads in zip(x, raw):
+        ss = SampleSet.from_reads(reads, kk)
+        if use_sampled_hidden:
+            weights = ss.weights()
+            k_bits = ss.assignments[:, :kk].astype(float)
+            y_bits = ss.assignments[:, kk:].astype(float)
+            s_bar = weights @ k_bits
+            terms.append((np.outer(s_bar, xi), (y_bits * weights[:, None]).T @ k_bits, s_bar, weights @ y_bits))
+        else:
+            patterns, weights = ss.y_distribution()
+            s = sigmoid(model.w1 @ xi + model.b + patterns @ model.w2)
+            s_bar = weights @ s
+            terms.append((np.outer(s_bar, xi), (patterns * weights[:, None]).T @ s, s_bar, weights @ patterns))
+    return GradientSet(*(np.mean(blocks, axis=0) for blocks in zip(*terms)))
+
+
+class TestNegativePhaseFromRawReads:
+    @pytest.mark.parametrize("use_sampled_hidden", [False, True])
+    @pytest.mark.parametrize("sampler_cls", [GibbsSampler, SimAnnealSampler])
+    def test_matches_aggregated_reference(self, make_model, sampler_cls, use_sampled_hidden):
+        model = make_model(n=3, k=3, m=2, seed=70)
+        rng = rng_from_seed(71)
+        x = rng.random((4, 3))
+        y = (rng.random((4, 2)) < 0.5).astype(float)
+        sampler = sampler_cls(SamplerConfig(reads=400, burn_in=10, anneal_sweeps=20, beta_eff=2.0, seed=5))
+        got = negative_phase(model, (x, y), sampler, base_seed=99, use_sampled_hidden=use_sampled_hidden)
+        raw = sampler.sample_batch(model, x, seed=99)
+        ref = aggregated_negative_phase(model, x, raw, use_sampled_hidden)
+        for name, value in got.as_param_dict().items():
+            np.testing.assert_allclose(value, ref.as_param_dict()[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestTrainEbm:

@@ -8,12 +8,16 @@ point, independent of any sampling noise.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ebmlp._accel import available_backends
-from ebmlp._kernels import anneal_reads, gibbs_block, gibbs_chain
+from ebmlp._kernels import anneal_block, gibbs_block, gibbs_chain
+from ebmlp.bqm import IsingModel
 from ebmlp.core import rng_from_seed, sigmoid
 from ebmlp.ebm import exact_conditional
 from ebmlp.models import EbmModel
@@ -23,6 +27,7 @@ from ebmlp.samplers import (
     SamplerConfig,
     SampleSet,
     SimAnnealSampler,
+    layer_coupling,
     make_sampler,
 )
 
@@ -187,27 +192,28 @@ class TestStationarityOracle:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestGibbsKernel:
     def test_shapes_and_binary(self, backend):
-        raw = gibbs_chain(np.array([0.2]), np.array([[0.1]]), np.array([-0.2]), 25, 10, 2, 7, backend=backend)
-        assert raw.shape == (25, 2)
+        raw = gibbs_block(np.array([[0.2], [-0.5]]), np.array([[0.1]]), np.array([-0.2]), 25, 10, 2, 7, backend=backend)
+        assert raw.shape == (2, 25, 2)
         assert raw.dtype == np.uint8
         assert np.all(raw <= 1)
 
     def test_deterministic_per_seed(self, backend):
-        args = (np.array([0.2, -0.4]), np.array([[0.3, 0.1]]), np.array([0.5]), 50, 5, 1)
-        a = gibbs_chain(*args, 42, backend=backend)
-        b = gibbs_chain(*args, 42, backend=backend)
+        args = (np.array([[0.2, -0.4], [0.1, 0.3]]), np.array([[0.3, 0.1]]), np.array([0.5]), 50, 5, 1)
+        a = gibbs_block(*args, 42, backend=backend)
+        b = gibbs_block(*args, 42, backend=backend)
         np.testing.assert_array_equal(a, b)
-        c = gibbs_chain(*args, 43, backend=backend)
+        c = gibbs_block(*args, 43, backend=backend)
         assert not np.array_equal(a, c)
 
     def test_no_coupling_matches_bernoulli(self, backend):
-        a = np.array([1.2])
+        a_rows = np.array([[1.2], [-0.4]])
         c = np.array([-0.8])
-        raw = gibbs_chain(a, np.zeros((1, 1)), c, 40000, 20, 1, 3, backend=backend)
-        freq_k = float(raw[:, 0].mean())
-        freq_y = float(raw[:, 1].mean())
-        assert abs(freq_k - float(sigmoid(1.2))) < 0.02
-        assert abs(freq_y - float(sigmoid(-0.8))) < 0.02
+        raw = gibbs_block(a_rows, np.zeros((1, 1)), c, 40000, 20, 1, 3, backend=backend)
+        for p in range(2):
+            freq_k = float(raw[p, :, 0].mean())
+            freq_y = float(raw[p, :, 1].mean())
+            assert abs(freq_k - float(sigmoid(a_rows[p, 0]))) < 0.02
+            assert abs(freq_y - float(sigmoid(-0.8))) < 0.02
 
     def test_block_matches_chain_distribution(self, backend, make_model):
         model = make_model(n=2, k=2, m=1, seed=13)
@@ -220,24 +226,56 @@ class TestGibbsKernel:
             pi = dense_conditional(model, xs[p])
             assert tv_distance(ss.empirical_probabilities(3), pi) < 0.05
 
+    def test_chain_is_one_row_block(self, backend):
+        args = (np.array([[0.3, 0.1]]), np.array([-0.2]), 30, 4, 2, 5)
+        np.testing.assert_array_equal(
+            gibbs_chain(np.array([0.7, -0.1]), *args, backend=backend),
+            gibbs_block(np.array([[0.7, -0.1]]), *args, backend=backend)[0],
+        )
+
+
+def clamped_fields(model, xs, beta_eff):
+    """Ising field rows and the shared hidden-output coupling, as the
+    annealer programs them."""
+    sampler = SimAnnealSampler(SamplerConfig(beta_eff=beta_eff))
+    prepared = [sampler.prepare(model, x) for x in xs]
+    assert not any(report for _, report in prepared)
+    return np.stack([ising.h for ising, _ in prepared]), layer_coupling(prepared[0][0], model.n_hidden)
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestAnnealKernel:
     def test_strong_field_aligns_spins(self, backend):
         betas = np.geomspace(0.1, 8.0, 100)
-        raw = anneal_reads(np.array([3.0, -3.0]), np.zeros((2, 2)), betas, 200, 5, backend=backend)
-        assert raw.shape == (200, 2)
-        assert float(raw[:, 0].mean()) > 0.95
-        assert float(raw[:, 1].mean()) < 0.05
+        raw = anneal_block(np.array([[3.0, -3.0]]), np.zeros((1, 1)), betas, 200, 5, backend=backend)
+        assert raw.shape == (1, 200, 2)
+        assert float(raw[0, :, 0].mean()) > 0.95
+        assert float(raw[0, :, 1].mean()) < 0.05
 
     def test_deterministic_per_seed(self, backend):
         betas = np.geomspace(0.1, 4.0, 30)
-        h = np.array([0.4, -0.2])
-        jt = np.zeros((2, 2))
-        a = anneal_reads(h, jt, betas, 64, 11, backend=backend)
-        b = anneal_reads(h, jt, betas, 64, 11, backend=backend)
+        h_rows = np.array([[0.4, -0.2], [-0.1, 0.3]])
+        coupling = np.array([[0.25]])
+        a = anneal_block(h_rows, coupling, betas, 64, 11, backend=backend)
+        b = anneal_block(h_rows, coupling, betas, 64, 11, backend=backend)
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, anneal_reads(h, jt, betas, 64, 12, backend=backend))
+        assert not np.array_equal(a, anneal_block(h_rows, coupling, betas, 64, 12, backend=backend))
+
+    def test_each_row_matches_its_conditional(self, backend, make_model):
+        # three clamped inputs in one call; beta_sim = beta_eff and no
+        # clipping, so every row targets exactly its own conditional
+        model = make_model(n=2, k=2, m=1, seed=25)
+        xs = rng_from_seed(26).random((3, 2))
+        h_rows, coupling = clamped_fields(model, xs, 16.0)
+        raw = anneal_block(h_rows, coupling, np.geomspace(0.1, 16.0, 300), 40000, 27, backend=backend)
+        assert raw.shape == (3, 40000, 3)
+        for p in range(3):
+            ss = SampleSet.from_reads(raw[p], n_hidden=2)
+            assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, xs[p])) < 0.05
+
+    def test_column_count_checked(self, backend):
+        with pytest.raises(ValueError, match="columns"):
+            anneal_block(np.zeros((1, 3)), np.zeros((1, 1)), [1.0], 4, 0, backend=backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -332,3 +370,52 @@ class TestSamplerPlumbing:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             gibbs_chain(np.zeros(1), np.zeros((1, 1)), np.zeros(1), 5, 0, 1, 0, backend="cuda")
+
+    def test_numba_backend_rejected(self):
+        assert available_backends() == ("numpy",)
+        with pytest.raises(ValueError, match="unknown backend 'numba'"):
+            SamplerConfig(backend="numba")
+        env = {**os.environ, "EBMLP_BACKEND": "numba", "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", "import ebmlp"], env=env, capture_output=True, text=True)
+        assert done.returncode != 0
+        assert "EBMLP_BACKEND: unknown backend 'numba'" in done.stderr
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize("name", ["exact", "gibbs", "simanneal"])
+    def test_deterministic_per_seed(self, name, make_model):
+        model = make_model(n=2, k=2, m=1, seed=37)
+        xs = rng_from_seed(38).random((3, 2))
+        sampler = make_sampler(name, SamplerConfig(reads=200, burn_in=5, anneal_sweeps=20))
+        a = sampler.sample_batch(model, xs, seed=4)
+        assert a.shape == (3, 200, 3) and a.dtype == np.uint8
+        np.testing.assert_array_equal(a, sampler.sample_batch(model, xs, seed=4))
+        assert not np.array_equal(a, sampler.sample_batch(model, xs, seed=5))
+
+    def test_sample_aggregates_one_row_batch(self, make_model):
+        model = make_model(n=2, k=2, m=1, seed=39)
+        x = np.array([0.2, 0.9])
+        sampler = GibbsSampler(SamplerConfig(reads=300, burn_in=5, seed=6))
+        ss = sampler.sample(model, x)
+        ref = SampleSet.from_reads(sampler.sample_batch(model, x[None, :])[0], n_hidden=2)
+        np.testing.assert_array_equal(ss.assignments, ref.assignments)
+        np.testing.assert_array_equal(ss.counts, ref.counts)
+
+    def test_non_bipartite_ising_rejected(self, make_model):
+        class WithinLayerCoupling(SimAnnealSampler):
+            def prepare(self, model, x):
+                ising, report = super().prepare(model, x)
+                j = ising.j.copy()
+                j[0, 1] = 0.1  # hidden unit 0 coupled to hidden unit 1
+                return IsingModel(ising.n, ising.h, j, ising.offset), report
+
+        model = make_model(n=2, k=2, m=1, seed=40)
+        sampler = WithinLayerCoupling(SamplerConfig(reads=10, anneal_sweeps=5))
+        with pytest.raises(ValueError, match="bipartite"):
+            sampler.sample_batch(model, np.zeros((2, 2)))
+        star = np.zeros((3, 3))
+        star[0, 1:] = 0.1  # unit 0 coupled to units 1 and 2
+        ising = IsingModel(3, np.zeros(3), star)
+        np.testing.assert_array_equal(layer_coupling(ising, 1), [[0.1, 0.1]])
+        with pytest.raises(ValueError, match="bipartite"):
+            layer_coupling(ising, 2)
