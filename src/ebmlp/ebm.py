@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import adam_update, AdamState, derive_seed, logsumexp, rng_from_seed, sigmoid, softplus
-from .models import EbmModel, GradientSet, MlpModel
-from .training import as_batch_arrays, batch_indices, TrainingTrace, TrainOptions
+# adam_update stays bound only because perfbench/selftest.py checks that it is traced here
+from .core import adam_update, derive_seed, logsumexp, sigmoid, softplus  # noqa: F401
+from .models import GradientSet
+from .training import as_batch_arrays, fit_traced, TrainOptions
 
 # 2^20 joint states is the desk-scale ceiling for exact enumeration.
 ENUMERATION_BOUND = 20
@@ -229,6 +230,21 @@ def grad_conditional_ll(model, batch, sampler=None, reads=None, base_seed=None, 
     return pos - neg
 
 
+def sampled_gradient(sampler, options):
+    """Gradient function for :func:`ebmlp.training.fit`: the negated
+    conditional log-likelihood gradient (exact when ``sampler`` is None),
+    with the sampler seeded afresh from the step index."""
+    base = derive_seed(options.seed, 0x5EED)
+
+    def gradient(model, batch, step):
+        seed = derive_seed(base, step << 20)
+        return grad_conditional_ll(
+            model, batch, sampler, reads=options.reads, base_seed=seed, use_sampled_hidden=options.use_sampled_hidden
+        ).negate()
+
+    return gradient
+
+
 def train_ebm(model, train_set, sampler, options=None, test_set=None):
     """ADAM ascent on the sampled conditional log-likelihood gradient.
 
@@ -237,36 +253,5 @@ def train_ebm(model, train_set, sampler, options=None, test_set=None):
     weights feedforwardly (weight transfer), matching how the trained
     model is deployed.
     """
-    from . import mlp as mlp_view
-
     options = options or TrainOptions()
-    opt = AdamState.for_params(model.params(), lr=options.lr)
-    batch_rng = rng_from_seed([options.seed, 0x6A7C4])
-    stream = batch_indices(len(train_set), options.batch_size, batch_rng)
-    sampler_base = derive_seed(options.seed, 0x5EED)
-    labels = np.asarray(train_set.labels, dtype=np.float64).reshape(len(train_set), -1)
-
-    trace = TrainingTrace(seed=options.seed, metadata={"trainer": "ebm", "lr": options.lr})
-
-    def record(step):
-        view = MlpModel(model.w1, model.w2, model.b, model.c)
-        loss = mlp_view.mean_cross_entropy(view, train_set.inputs, labels)
-        loglik = mean_log_likelihood(model, train_set)
-        acc = None if test_set is None else mlp_view.accuracy(view, test_set)
-        trace.append(step, loss, loglik, acc)
-
-    record(0)
-    for step in range(1, options.steps + 1):
-        idx = next(stream)
-        batch = (train_set.inputs[idx], labels[idx])
-        grad = grad_conditional_ll(
-            model,
-            batch,
-            sampler,
-            reads=options.reads,
-            base_seed=derive_seed(sampler_base, step << 20),
-            use_sampled_hidden=options.use_sampled_hidden,
-        )
-        model.set_params(adam_update(opt, model.params(), grad.negate().as_param_dict()))
-        record(step)
-    return trace
+    return fit_traced(model, sampled_gradient(sampler, options), train_set, options, test_set, "ebm")

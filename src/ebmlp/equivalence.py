@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import adam_update, AdamState, derive_seed, rng_from_seed
+from .core import derive_seed, rng_from_seed
 from .models import EbmModel, MlpModel
-from .training import batch_indices, TrainOptions
+from .training import atomic_open, fit, TrainOptions
 from . import ebm, mlp
 from .samplers import GibbsSampler, SamplerConfig
 
@@ -107,7 +107,7 @@ class EquivalenceReport:
         return self.kl_nats[-1]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)
             for row in zip(*(self._series()[name] for name in REPORT_COLUMNS)):
@@ -119,7 +119,7 @@ class EquivalenceReport:
             "metadata": self.metadata,
             "series": self._series(),
         }
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -149,11 +149,6 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, s
     if sampler is None:
         sampler = GibbsSampler(SamplerConfig(seed=derive_seed(options.seed, 0x5EED)))
 
-    opt_mlp = AdamState.for_params(mlp_model.params(), lr=options.lr)
-    opt_ebm = AdamState.for_params(ebm_model.params(), lr=options.lr)
-    stream = batch_indices(len(train_set), options.batch_size, rng_from_seed([options.seed, 0x6A7C4]))
-    labels = np.asarray(train_set.labels, dtype=np.float64).reshape(len(train_set), -1)
-
     report = EquivalenceReport(
         metadata={
             "n_hidden": n_hidden,
@@ -172,8 +167,8 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, s
         ebm_of_mlp = transfer_weights(mlp_model)
         report.append(
             step=step,
-            mlp_loss=mlp.mean_cross_entropy(mlp_model, train_set.inputs, labels),
-            mlp_loss_ebm_weights=mlp.mean_cross_entropy(mlp_of_ebm, train_set.inputs, labels),
+            mlp_loss=mlp.mean_cross_entropy(mlp_model, train_set.inputs, train_set.labels),
+            mlp_loss_ebm_weights=mlp.mean_cross_entropy(mlp_of_ebm, train_set.inputs, train_set.labels),
             ebm_loglik=ebm.mean_log_likelihood(ebm_model, train_set),
             ebm_loglik_mlp_weights=ebm.mean_log_likelihood(ebm_of_mlp, train_set),
             acc_mlp=mlp.accuracy(mlp_model, test_set),
@@ -186,21 +181,6 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, s
             ),
         )
 
-    sampler_base = derive_seed(options.seed, 0x5EED)
-    record(0)
-    for step in range(1, options.steps + 1):
-        idx = next(stream)
-        batch = (train_set.inputs[idx], labels[idx])
-        grad_mlp = mlp.grad_backprop(mlp_model, batch)
-        grad_ebm = ebm.grad_conditional_ll(
-            ebm_model,
-            batch,
-            sampler,
-            reads=options.reads,
-            base_seed=derive_seed(sampler_base, step << 20),
-            use_sampled_hidden=options.use_sampled_hidden,
-        )
-        mlp_model.set_params(adam_update(opt_mlp, mlp_model.params(), grad_mlp.as_param_dict()))
-        ebm_model.set_params(adam_update(opt_ebm, ebm_model.params(), grad_ebm.negate().as_param_dict()))
-        record(step)
+    learners = [(mlp_model, mlp.backprop_gradient), (ebm_model, ebm.sampled_gradient(sampler, options))]
+    fit(learners, train_set, options, record)
     return report

@@ -11,7 +11,7 @@ plain CSV/JSON.
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -23,14 +23,17 @@ from .bqm import bqm_to_ising, bqm_to_text, build_conditional_bqm, clamp_to_hard
 from .core import derive_seed, rng_from_seed
 from .data import load_standard_split, make_binary_task
 from .ebm import train_ebm
-from .equivalence import run_equivalence_experiment
+from .equivalence import run_equivalence_experiment, transfer_weights
 from .mlp import train_mlp
-from .models import EbmModel, MlpModel
-from .samplers import GibbsSampler, SamplerConfig, SimAnnealSampler
-from .training import TrainOptions
+from .models import MlpModel
+from .samplers import GibbsSampler, make_sampler, SamplerConfig
+from .training import atomic_open, TrainOptions
 
 TRACKS = ("classical1", "classical2", "quantum-sim")
 ALL_TRACKS = TRACKS + ("equivalence", "bench")
+
+# make_sampler name of each EBM track's negative-phase sampler
+TRACK_SAMPLERS = {"classical2": "gibbs", "quantum-sim": "simanneal"}
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -167,8 +170,7 @@ def initial_models(config, seed, n_features):
     parameters at the same trial seed, so tracks differ only in training."""
     rng = rng_from_seed([seed, 0x1B17])
     mlp_model = MlpModel.init_gaussian(n_features, config.n_hidden, 1, rng, std=config.init_std)
-    ebm_model = EbmModel(mlp_model.w1.copy(), mlp_model.w2.copy(), mlp_model.b.copy(), mlp_model.c.copy())
-    return mlp_model, ebm_model
+    return mlp_model, transfer_weights(mlp_model)
 
 
 def run_trial(config, trial_index, train_set, test_set):
@@ -176,14 +178,10 @@ def run_trial(config, trial_index, train_set, test_set):
     seed = config.seed + trial_index
     options = config.train_options(seed)
     mlp_model, ebm_model = initial_models(config, seed, train_set.n_features)
-    sampler_seed = derive_seed(seed, 0x5EED)
     if config.track == "classical1":
         trace = train_mlp(mlp_model, train_set, options, test_set)
-    elif config.track == "classical2":
-        sampler = GibbsSampler(config.sampler_config(sampler_seed))
-        trace = train_ebm(ebm_model, train_set, sampler, options, test_set)
-    elif config.track == "quantum-sim":
-        sampler = SimAnnealSampler(config.sampler_config(sampler_seed))
+    elif config.track in TRACK_SAMPLERS:
+        sampler = make_sampler(TRACK_SAMPLERS[config.track], config.sampler_config(derive_seed(seed, 0x5EED)))
         trace = train_ebm(ebm_model, train_set, sampler, options, test_set)
     else:
         raise ValueError(f"track {config.track!r} is not a training track")
@@ -252,7 +250,7 @@ def run_track(config, train_set=None, test_set=None, progress=None):
         "trials": [s.as_dict() for s in summaries],
         "aggregate": aggregate,
     }
-    with open(out / "summary.json", "w") as fh:
+    with atomic_open(out / "summary.json") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return traces, summaries, aggregate
@@ -373,7 +371,7 @@ BENCH_COLUMNS = ("component", "backend", "size", "median_seconds", "reps")
 
 
 def write_bench_csv(rows, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write(",".join(BENCH_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in BENCH_COLUMNS) + "\n")

@@ -1,5 +1,6 @@
 """Feedforward view of the shared parameter container: sigmoid MLP forward
-pass, cross-entropy loss, analytic backpropagation, and ADAM training.
+pass, cross-entropy loss, analytic backpropagation, and the backprop
+gradient function that :func:`ebmlp.training.fit` trains with.
 
 Gradients returned here are descent directions on the loss; the energy-based
 trainer in :mod:`ebmlp.ebm` returns ascent directions on the log-likelihood
@@ -8,9 +9,9 @@ and negates before the optimizer, so both modules feed ADAM the same way.
 
 import numpy as np
 
-from .core import adam_update, AdamState, rng_from_seed, sigmoid
-from .models import EbmModel, GradientSet
-from .training import as_batch_arrays, batch_indices, TrainingTrace, TrainOptions
+from .core import sigmoid
+from .models import GradientSet
+from .training import as_batch_arrays, fit_traced, TrainOptions
 
 # Sigmoid outputs within float rounding of 0 or 1 would make the loss
 # infinite; the clamp bounds the loss without touching the gradient path.
@@ -70,6 +71,12 @@ def grad_backprop(model, batch):
     return GradientSet(dh.T @ x / n, d.T @ h / n, dh.mean(axis=0), d.mean(axis=0))
 
 
+def backprop_gradient(model, batch, step):
+    """Gradient function for :func:`ebmlp.training.fit`: the backprop
+    gradient, the same at every step."""
+    return grad_backprop(model, batch)
+
+
 def predict(model, x):
     """Thresholds each output at 0.5; exactly 0.5 resolves to 0."""
     return (np.atleast_2d(forward(model, x)) > 0.5).astype(np.uint8)
@@ -88,27 +95,4 @@ def train_mlp(model, train_set, options=None, test_set=None):
     the pre-training state) and the batch sequence drawn for a given seed is
     identical to train_ebm's, so runs of the two trainers are comparable.
     """
-    from . import ebm as ebm_view
-
-    options = options or TrainOptions()
-    opt = AdamState.for_params(model.params(), lr=options.lr)
-    batch_rng = rng_from_seed([options.seed, 0x6A7C4])
-    stream = batch_indices(len(train_set), options.batch_size, batch_rng)
-    labels = np.asarray(train_set.labels, dtype=np.float64).reshape(len(train_set), -1)
-
-    trace = TrainingTrace(seed=options.seed, metadata={"trainer": "mlp", "lr": options.lr})
-
-    def record(step):
-        view = EbmModel(model.w1, model.w2, model.b, model.c)
-        loss = mean_cross_entropy(model, train_set.inputs, labels)
-        loglik = ebm_view.mean_log_likelihood(view, train_set)
-        acc = None if test_set is None else accuracy(model, test_set)
-        trace.append(step, loss, loglik, acc)
-
-    record(0)
-    for step in range(1, options.steps + 1):
-        idx = next(stream)
-        grad = grad_backprop(model, (train_set.inputs[idx], labels[idx]))
-        model.set_params(adam_update(opt, model.params(), grad.as_param_dict()))
-        record(step)
-    return trace
+    return fit_traced(model, backprop_gradient, train_set, options or TrainOptions(), test_set, "mlp")

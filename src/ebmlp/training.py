@@ -1,9 +1,16 @@
-"""Shared training-loop plumbing: options, batching, per-step traces."""
+"""The one training loop, :func:`fit`, which every trainer runs with its
+gradient functions, plus its options, batching, per-step traces, and
+atomic output files."""
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .core import adam_update, AdamState, rng_from_seed
 
 
 @dataclass
@@ -25,26 +32,15 @@ class TrainOptions:
 
 
 def as_batch_arrays(batch):
-    """Normalize a batch to (X, Y) float64 arrays of shape (B, N), (B, M).
-
-    Accepts an (X, Y) array pair or a sequence of (x, y) example pairs;
-    scalar or 1-d labels become single-output columns.
-    """
-    if isinstance(batch, tuple) and len(batch) == 2 and not isinstance(batch[0], tuple):
-        x, y = batch
-    else:
-        pairs = list(batch)
-        if not pairs:
-            raise ValueError("empty batch")
-        x = [p[0] for p in pairs]
-        y = [p[1] for p in pairs]
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 0:
-        y = y.reshape(1, 1)
-    elif y.ndim == 1:
-        y = y.reshape(x.shape[0], -1) if x.shape[0] == y.shape[0] else y.reshape(1, -1)
-    if x.shape[0] != y.shape[0] or x.shape[0] == 0:
+    """Normalize an (X, Y) batch to float64 arrays of shape (B, N), (B, M).
+    X may be one 1-d example and Y may be (B,); anything else raises."""
+    if not (isinstance(batch, tuple) and len(batch) == 2):
+        raise ValueError("a batch is an (inputs, labels) tuple")
+    x = np.atleast_2d(np.asarray(batch[0], dtype=np.float64))
+    y = np.asarray(batch[1], dtype=np.float64)
+    if y.ndim == 1:
+        y = y[:, None]
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ValueError(f"batch arrays disagree: inputs {x.shape}, labels {y.shape}")
     return x, y
 
@@ -55,6 +51,58 @@ def batch_indices(n_examples, batch_size, rng):
         order = rng.permutation(n_examples)
         for start in range(0, n_examples, batch_size):
             yield order[start : start + batch_size]
+
+
+def fit(learners, train_set, options, record):
+    """ADAM-train each ``(model, gradient)`` learner in place on one batch
+    stream seeded by ``options.seed``; ``gradient(model, batch, step)``
+    returns a descent GradientSet. ``record(step)`` runs before the first
+    update (step 0) and after each one."""
+    optimizers = [AdamState.for_params(model.params(), lr=options.lr) for model, _ in learners]
+    stream = batch_indices(len(train_set), options.batch_size, rng_from_seed([options.seed, 0x6A7C4]))
+    labels = np.asarray(train_set.labels, dtype=np.float64).reshape(len(train_set), -1)
+    record(0)
+    for step in range(1, options.steps + 1):
+        idx = next(stream)
+        batch = (train_set.inputs[idx], labels[idx])
+        grads = [gradient(model, batch, step) for model, gradient in learners]
+        for (model, _), opt, grad in zip(learners, optimizers, grads):
+            model.set_params(adam_update(opt, model.params(), grad.as_param_dict()))
+        record(step)
+
+
+def fit_traced(model, gradient, train_set, options, test_set, trainer):
+    """:func:`fit` one learner, tracing train-set loss and exact
+    log-likelihood and feedforward test accuracy (both readings take any
+    parameter container)."""
+    from . import ebm, mlp  # both import this module
+
+    trace = TrainingTrace(seed=options.seed, metadata={"trainer": trainer, "lr": options.lr})
+
+    def record(step):
+        trace.append(
+            step,
+            mlp.mean_cross_entropy(model, train_set.inputs, train_set.labels),
+            ebm.mean_log_likelihood(model, train_set),
+            None if test_set is None else mlp.accuracy(model, test_set),
+        )
+
+    fit([(model, gradient)], train_set, options, record)
+    return trace
+
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Write text to a temp file beside ``path`` and os.replace it into
+    place when the block completes; if it raises, ``path`` is untouched
+    and the temp file is removed."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass
@@ -82,7 +130,7 @@ class TrainingTrace:
         """Write the trace with the documented column order. Missing values
         are empty cells; floats use repr so reruns are byte-identical. An
         optional `# ...` first line records run identifiers."""
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh)

@@ -112,24 +112,32 @@ class TestConfigFile:
         assert config.steps == 20
 
 
+# Success-rate floor for every track on the synthetic split at 10 steps
+# and 4 trials. Over seeds 0-9 the rates were 75-100% (classical1,
+# quantum-sim) and 50-100% (classical2); seed 0 gave 100% on each.
+TRACK_SUCCESS_FLOOR = 50.0
+
+
 class TestTrainCommand:
-    def test_end_to_end(self, capsys, config_file, tmp_path):
+    @pytest.mark.parametrize("track", ["classical1", "classical2", "quantum-sim"])
+    def test_end_to_end(self, capsys, config_file, tmp_path, track):
         code, out, err = run_cli(
-            capsys, "train", "--track", "classical1", "--config", str(config_file())
+            capsys, "train", "--track", track, "--config", str(config_file()), "--steps", "10", "--trials", "4"
         )
         assert code == 0 and not err
         # one progress line per trial plus the final aggregate line
-        assert len(out) == 3
-        for line in out[:2]:
+        assert len(out) == 5
+        for line in out[:4]:
             progress = json.loads(line)
             assert {"trial", "seed", "final_accuracy", "steps_to_70", "success"} <= set(progress)
         final = json.loads(out[-1])
-        assert final["track"] == "classical1"
-        assert "aggregate" in final
+        assert final["track"] == track
+        assert final["aggregate"]["n_failed"] == 0
+        assert final["aggregate"]["success_rate_percent"] >= TRACK_SUCCESS_FLOOR
         out_dir = tmp_path / "runs"
-        assert (out_dir / "summary.json").is_file()
-        assert (out_dir / "trace_0.csv").is_file()
-        assert (out_dir / "trace_1.csv").is_file()
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["aggregate"] == final["aggregate"]
+        assert sorted(p.name for p in out_dir.glob("trace_*.csv")) == [f"trace_{t}.csv" for t in range(4)]
 
     def test_dump_bqm(self, capsys, config_file, tmp_path):
         code, _, err = run_cli(
@@ -163,15 +171,22 @@ class TestTrainCommand:
         assert json.loads(err[0])["error"] == "UsageError"
 
 
+# Bound on the final MLP-vs-EBM output KL after 10 lockstep steps on the
+# synthetic split. Over seeds 0-19 it ranged 1e-5 to 0.11; with the EBM
+# gradient's sign flipped, seeds 0-4 ended at 0.73-1.75.
+EQUIVALENCE_FINAL_KL_BOUND = 0.3
+
+
 class TestEquivalenceCommand:
     def test_end_to_end(self, capsys, config_file, tmp_path):
         code, out, err = run_cli(
-            capsys, "equivalence", "--config", str(config_file(runs="eq")), "--steps", "3"
+            capsys, "equivalence", "--config", str(config_file(runs="eq")), "--steps", "10"
         )
         assert code == 0 and not err
         payload = json.loads(out[-1])
-        assert payload["steps"] == 3
+        assert payload["steps"] == 10
         assert payload["max_kl"] >= payload["final_kl"] >= 0.0
+        assert payload["final_kl"] < EQUIVALENCE_FINAL_KL_BOUND
         assert 0.0 <= payload["final_acc_mlp"] <= 1.0
         out_dir = tmp_path / "eq"
         assert (out_dir / "equivalence.csv").is_file()

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from ebmlp.core import rng_from_seed
+from ebmlp.core import derive_seed, rng_from_seed
 from ebmlp.data import synthetic_task
-from ebmlp.ebm import log_conditional_y
+from ebmlp.ebm import log_conditional_y, train_ebm
 from ebmlp.equivalence import (
     REPORT_COLUMNS,
     REPORT_SCHEMA_VERSION,
@@ -20,9 +20,9 @@ from ebmlp.equivalence import (
     symmetrized_kl,
     transfer_weights,
 )
-from ebmlp.mlp import forward
+from ebmlp.mlp import forward, train_mlp
 from ebmlp.models import EbmModel, MlpModel
-from ebmlp.samplers import ExactSampler, SamplerConfig
+from ebmlp.samplers import ExactSampler, GibbsSampler, SamplerConfig
 from ebmlp.training import TrainOptions
 
 
@@ -174,6 +174,25 @@ class TestEquivalenceReport:
 
 
 class TestRunExperiment:
+    def test_equals_the_two_standalone_trainers(self):
+        # lockstep training is the two trainers over one batch stream: the
+        # MLP columns match train_mlp and the EBM column matches train_ebm
+        # with the default Gibbs sampler, exactly
+        train = synthetic_task(3, 14, seed=20)
+        test = synthetic_task(3, 10, seed=21)
+        seed = 9
+        options = TrainOptions(steps=4, batch_size=4, lr=0.1, seed=seed)
+        report = run_equivalence_experiment(train, test, n_hidden=2, options=options)
+
+        mlp_model = MlpModel.init_gaussian(3, 2, 1, rng_from_seed([seed, 0x1B17]), std=0.01)
+        ebm_model = transfer_weights(mlp_model)
+        trace = train_mlp(mlp_model, train, options, test)
+        sampler = GibbsSampler(SamplerConfig(seed=derive_seed(seed, 0x5EED)))
+        ebm_trace = train_ebm(ebm_model, train, sampler, options, test)
+        assert report.mlp_loss == trace.train_loss
+        assert report.acc_mlp == trace.test_accuracy
+        assert report.ebm_loglik == ebm_trace.ebm_loglik
+
     def test_small_run_structure(self):
         train = synthetic_task(3, 20, seed=6)
         test = synthetic_task(3, 16, seed=7)
