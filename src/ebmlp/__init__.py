@@ -4,7 +4,6 @@ enumeration, block Gibbs, simulated annealing over a BQM/Ising encoding)
 standing in for annealing hardware.
 """
 
-from ._accel import active_backend, available_backends
 from .bqm import (
     Bqm,
     ClampReport,
@@ -35,6 +34,13 @@ from .training import TrainingTrace, TrainOptions
 
 __version__ = "0.1.0"
 
+
+# perfbench/run.py prints this at the start of every benchmark run.
+def active_backend():
+    """Name of the sampling kernels, which are always the numpy ones."""
+    return "numpy"
+
+
 __all__ = [
     "Bqm",
     "ClampReport",
@@ -56,7 +62,6 @@ __all__ = [
     "TrainingTrace",
     "TrialSummary",
     "active_backend",
-    "available_backends",
     "bench_runtime",
     "bqm_to_ising",
     "bqm_to_text",

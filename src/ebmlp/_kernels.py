@@ -8,15 +8,14 @@ sites within a layer do not interact, which makes each block update equal
 in distribution to a site-by-site scan of that layer. Draws come from a
 numpy PCG64 Generator and are reproducible per seed; the layout of the
 stream depends on the batch shape, so a row sampled alone and the same row
-sampled inside a batch get different (equally valid) reads.
+sampled inside a batch get different (equally valid) reads. These numpy
+kernels are the only implementation; nothing selects between kernels.
 """
 
 import numpy as np
 
-from ._accel import check_backend
 
-
-def gibbs_block(a_rows, w2, c, reads, burn_in, thin, seed, backend=None):
+def gibbs_block(a_rows, w2, c, reads, burn_in, thin, seed):
     """Independent block-Gibbs chains, one per clamped point.
 
     ``a_rows`` holds one W1 x + b row per data point. Each chain starts
@@ -25,7 +24,6 @@ def gibbs_block(a_rows, w2, c, reads, burn_in, thin, seed, backend=None):
     then records every thin-th sweep. Returns (points, reads, K+M) uint8,
     k bits first.
     """
-    check_backend(backend)
     a_rows = np.ascontiguousarray(np.atleast_2d(a_rows), dtype=np.float64)
     w2 = np.ascontiguousarray(w2, dtype=np.float64)
     c = np.ascontiguousarray(c, dtype=np.float64)
@@ -49,12 +47,12 @@ def gibbs_block(a_rows, w2, c, reads, burn_in, thin, seed, backend=None):
     return out
 
 
-def gibbs_chain(a, w2, c, reads, burn_in, thin, seed, backend=None):
+def gibbs_chain(a, w2, c, reads, burn_in, thin, seed):
     """gibbs_block for a single clamped point; returns (reads, K+M) uint8."""
-    return gibbs_block(np.asarray(a)[None], w2, c, reads, burn_in, thin, seed, backend)[0]
+    return gibbs_block(np.asarray(a)[None], w2, c, reads, burn_in, thin, seed)[0]
 
 
-def anneal_block(h_rows, coupling, betas, reads, seed, backend=None):
+def anneal_block(h_rows, coupling, betas, reads, seed):
     """Independent Metropolis anneals of a bipartite Ising model, for many
     clamped points in one call.
 
@@ -70,7 +68,6 @@ def anneal_block(h_rows, coupling, betas, reads, seed, backend=None):
     in distribution. Returns (points, reads, K+M) uint8 bits under
     q = (s + 1) / 2.
     """
-    check_backend(backend)
     h_rows = np.ascontiguousarray(np.atleast_2d(h_rows), dtype=np.float64)
     coupling = np.ascontiguousarray(coupling, dtype=np.float64)
     betas = np.ascontiguousarray(betas, dtype=np.float64)

@@ -161,14 +161,12 @@ def _cmd_equivalence(args):
 
 def _cmd_bench(args):
     config = build_run_config(args, require_track="bench")
-    backends = None if config.backend is None else [config.backend]
-    rows = bench_runtime(sizes=config.sizes, repeats=args.repeats, seed=config.seed, backends=backends)
+    rows = bench_runtime(sizes=config.sizes, repeats=args.repeats, seed=config.seed)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "bench.csv"
     write_bench_csv(rows, path)
-    monotone = {f"{c}/{b}": ok for (c, b), ok in monotone_components(rows).items()}
-    print(json.dumps({"csv": str(path), "rows": len(rows), "monotone": monotone}))
+    print(json.dumps({"csv": str(path), "rows": len(rows), "monotone": monotone_components(rows)}))
     return 0
 
 

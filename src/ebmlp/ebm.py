@@ -147,7 +147,7 @@ def mean_log_likelihood(model, dataset):
     """Dataset mean of the exact conditional log-likelihood."""
     labels = np.asarray(dataset.labels, dtype=np.float64).reshape(len(dataset), -1)
     _, scores = _y_scores(model, np.asarray(dataset.inputs, dtype=np.float64))
-    logz = np.array([logsumexp(row) for row in scores])
+    logz = logsumexp(scores, axis=1)
     picked = scores[np.arange(scores.shape[0]), _y_index(labels)]
     return float(np.mean(picked - logz))
 
@@ -188,14 +188,14 @@ def exact_negative_phase(model, batch):
     return _phase_from_y_weights(model, x, np.exp(scores - logsumexp(scores, axis=1)[:, None]))
 
 
-def negative_phase(model, batch, sampler, reads=None, base_seed=None, use_sampled_hidden=False):
+def negative_phase(model, batch, sampler, base_seed=None, use_sampled_hidden=False):
     """Sampled negative phase.
 
     One ``sampler.sample_batch`` call, seeded with ``base_seed`` (default:
-    the sampler's configured seed), draws ``reads`` samples of (k, y) from
-    every example's conditional; both estimators read the raw samples
-    directly. The default keeps only the sampled y: a bincount over the y
-    patterns gives each example's empirical P(y|x), and
+    the sampler's configured seed), draws ``sampler.config.reads`` samples
+    of (k, y) from every example's conditional; both estimators read the
+    raw samples directly. The default keeps only the sampled y: a bincount
+    over the y patterns gives each example's empirical P(y|x), and
     sigma(W1 x + b + W2^T y) is recomputed per pattern.
     ``use_sampled_hidden=True`` averages the sampled k bits instead.
     """
@@ -204,7 +204,7 @@ def negative_phase(model, batch, sampler, reads=None, base_seed=None, use_sample
     x, _ = as_batch_arrays(batch)
     if base_seed is None:
         base_seed = sampler.config.seed
-    raw = sampler.sample_batch(model, x, reads=reads, seed=base_seed)
+    raw = sampler.sample_batch(model, x, seed=base_seed)
     n, n_reads, _ = raw.shape
     kk = model.n_hidden
     if use_sampled_hidden:
@@ -219,14 +219,12 @@ def negative_phase(model, batch, sampler, reads=None, base_seed=None, use_sample
     return _phase_from_y_weights(model, x, counts / n_reads)
 
 
-def grad_conditional_ll(model, batch, sampler=None, reads=None, base_seed=None, use_sampled_hidden=False):
+def grad_conditional_ll(model, batch, sampler=None, base_seed=None, use_sampled_hidden=False):
     """Ascent gradient of the batch-mean conditional log-likelihood:
     positive phase minus negative phase. ``sampler=None`` uses the exact
     closed-form negative phase."""
     pos = positive_phase(model, batch)
-    neg = negative_phase(
-        model, batch, sampler, reads=reads, base_seed=base_seed, use_sampled_hidden=use_sampled_hidden
-    )
+    neg = negative_phase(model, batch, sampler, base_seed=base_seed, use_sampled_hidden=use_sampled_hidden)
     return pos - neg
 
 
@@ -239,7 +237,7 @@ def sampled_gradient(sampler, options):
     def gradient(model, batch, step):
         seed = derive_seed(base, step << 20)
         return grad_conditional_ll(
-            model, batch, sampler, reads=options.reads, base_seed=seed, use_sampled_hidden=options.use_sampled_hidden
+            model, batch, sampler, base_seed=seed, use_sampled_hidden=options.use_sampled_hidden
         ).negate()
 
     return gradient

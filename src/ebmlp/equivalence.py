@@ -162,19 +162,19 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, s
         }
     )
 
+    # Both readings take any parameter container, so each model is read
+    # the other way directly, without a transferred copy.
     def record(step):
-        mlp_of_ebm = transfer_weights(ebm_model)
-        ebm_of_mlp = transfer_weights(mlp_model)
         report.append(
             step=step,
             mlp_loss=mlp.mean_cross_entropy(mlp_model, train_set.inputs, train_set.labels),
-            mlp_loss_ebm_weights=mlp.mean_cross_entropy(mlp_of_ebm, train_set.inputs, train_set.labels),
+            mlp_loss_ebm_weights=mlp.mean_cross_entropy(ebm_model, train_set.inputs, train_set.labels),
             ebm_loglik=ebm.mean_log_likelihood(ebm_model, train_set),
-            ebm_loglik_mlp_weights=ebm.mean_log_likelihood(ebm_of_mlp, train_set),
+            ebm_loglik_mlp_weights=ebm.mean_log_likelihood(mlp_model, train_set),
             acc_mlp=mlp.accuracy(mlp_model, test_set),
-            acc_mlp_ebm_weights=mlp.accuracy(mlp_of_ebm, test_set),
+            acc_mlp_ebm_weights=mlp.accuracy(ebm_model, test_set),
             acc_ebm=ebm.accuracy(ebm_model, test_set),
-            acc_ebm_mlp_weights=ebm.accuracy(ebm_of_mlp, test_set),
+            acc_ebm_mlp_weights=ebm.accuracy(mlp_model, test_set),
             kl_nats=symmetrized_kl(
                 np.atleast_2d(mlp.forward(mlp_model, test_set.inputs)),
                 _output_probabilities(ebm_model, test_set.inputs),

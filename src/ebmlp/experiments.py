@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accel import available_backends, check_backend
 from ._kernels import gibbs_block
 from .bqm import bqm_to_ising, bqm_to_text, build_conditional_bqm, clamp_to_hardware, ising_to_text
 from .core import derive_seed, rng_from_seed
@@ -72,7 +71,6 @@ class RunConfig:
     anneal_beta_start: float = 0.1
     anneal_schedule: str = "geometric"
     beta_sim: float = None
-    backend: str = None
     use_sampled_hidden: bool = False
     init_std: float = 0.01
     sizes: tuple = (10, 100, 1000, 10000)
@@ -88,7 +86,6 @@ class RunConfig:
         self.sizes = tuple(int(s) for s in self.sizes)
         if any(s < 1 for s in self.sizes):
             raise ValueError("benchmark sizes must be positive")
-        check_backend(self.backend)
 
     def sampler_config(self, seed):
         return SamplerConfig(
@@ -101,7 +98,6 @@ class RunConfig:
             anneal_schedule=self.anneal_schedule,
             beta_sim=self.beta_sim,
             seed=seed,
-            backend=self.backend,
         )
 
     def train_options(self, seed):
@@ -110,7 +106,6 @@ class RunConfig:
             batch_size=self.batch_size,
             lr=self.lr,
             seed=seed,
-            reads=self.reads,
             use_sampled_hidden=self.use_sampled_hidden,
         )
 
@@ -321,11 +316,11 @@ def _mlp_matmul(inputs, w1, w2):
     return (inputs @ w1.T) @ w2.T
 
 
-def _gibbs_conditional(inputs, w1, w2, b, c, reads, burn_in, seed, backend):
-    return gibbs_block(inputs @ w1.T + b, w2, c, reads, burn_in, 1, seed, backend=backend)
+def _gibbs_conditional(inputs, w1, w2, b, c, reads, burn_in, seed):
+    return gibbs_block(inputs @ w1.T + b, w2, c, reads, burn_in, 1, seed)
 
 
-def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, backends=None, batch=1024, reads=1, burn_in=0):
+def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, batch=1024, reads=1, burn_in=0):
     """Wall-clock scaling of the two per-example classical operations.
 
     One hidden and one output unit, visible width swept. "mlp_matmul"
@@ -336,15 +331,14 @@ def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, backends=Non
     defaults keep the sweep budget minimal; raising reads/burn_in only
     shifts the whole series up. Every series is warmed up and calibrated
     first; then each of ``repeats`` rounds times every series once, so
-    drift in host speed hits all sizes alike. Returns rows of dicts;
-    medians are wall-clock and vary between machines and runs, so only
-    their ordering is meaningful.
+    drift in host speed hits all sizes alike. Returns one dict per
+    (component, size) with the median seconds per call and the calls
+    per measurement (``BENCH_COLUMNS``); medians are wall-clock and vary
+    between machines and runs, so only their ordering is meaningful.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
         raise ValueError("benchmark sizes must be positive")
-    if backends is None:
-        backends = available_backends()
     rng = rng_from_seed([seed, 0xBE7C])
     series = []
     for n in sizes:
@@ -353,10 +347,9 @@ def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, backends=Non
         b = np.zeros(1)
         c = np.zeros(1)
         inputs = rng.random((batch, n))
-        series.append(({"component": "mlp_matmul", "backend": "numpy", "size": n}, partial(_mlp_matmul, inputs, w1, w2)))
-        for backend in backends:
-            stmt = partial(_gibbs_conditional, inputs, w1, w2, b, c, reads, burn_in, seed, backend)
-            series.append(({"component": "gibbs_conditional", "backend": backend, "size": n}, stmt))
+        series.append(({"component": "mlp_matmul", "size": n}, partial(_mlp_matmul, inputs, w1, w2)))
+        stmt = partial(_gibbs_conditional, inputs, w1, w2, b, c, reads, burn_in, seed)
+        series.append(({"component": "gibbs_conditional", "size": n}, stmt))
     reps = [_calibrated_reps(stmt, target=0.02) for _, stmt in series]
     samples = [[] for _ in series]
     for _ in range(repeats):
@@ -367,7 +360,7 @@ def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, backends=Non
     ]
 
 
-BENCH_COLUMNS = ("component", "backend", "size", "median_seconds", "reps")
+BENCH_COLUMNS = ("component", "size", "median_seconds", "reps")
 
 
 def write_bench_csv(rows, path):
@@ -378,13 +371,13 @@ def write_bench_csv(rows, path):
 
 
 def monotone_components(rows):
-    """Map (component, backend) -> bool: medians nondecreasing in size."""
+    """Map component -> bool: medians nondecreasing in size."""
     series = {}
     for row in rows:
-        series.setdefault((row["component"], row["backend"]), []).append((row["size"], row["median_seconds"]))
+        series.setdefault(row["component"], []).append((row["size"], row["median_seconds"]))
     result = {}
-    for key, points in series.items():
+    for component, points in series.items():
         points.sort()
         medians = [m for _, m in points]
-        result[key] = all(a <= b for a, b in zip(medians, medians[1:]))
+        result[component] = all(a <= b for a, b in zip(medians, medians[1:]))
     return result

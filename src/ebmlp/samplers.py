@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import check_backend
-from ._kernels import anneal_block, gibbs_block, gibbs_chain  # noqa: F401 - gibbs_chain re-exported
+# gibbs_chain is unused here but stays bound: perfbench/selftest.py patches it in this module
+from ._kernels import anneal_block, gibbs_block, gibbs_chain  # noqa: F401
 from .bqm import bqm_to_ising, build_conditional_bqm, clamp_to_hardware
 from .core import rng_from_seed
 
@@ -29,9 +29,12 @@ ANNEAL_SCHEDULES = ("geometric", "linear")
 class SamplerConfig:
     """Knobs shared by all samplers; each implementation reads its subset.
 
-    beta_sim defaults to beta_eff, which makes the simulated annealer's
-    target distribution exactly the encoded conditional; setting it apart
-    studies hardware-calibration error.
+    ``reads`` is the only read-count setting: trainers draw what the
+    sampler is configured to draw, and only a direct ``sample`` or
+    ``sample_batch`` call can ask for another count. beta_sim defaults to
+    beta_eff, which makes the simulated annealer's target distribution
+    exactly the encoded conditional; setting it apart studies
+    hardware-calibration error.
     """
 
     beta_eff: float = 16.0
@@ -43,7 +46,6 @@ class SamplerConfig:
     anneal_schedule: str = "geometric"
     beta_sim: float = None
     seed: int = 0
-    backend: str = None
 
     def __post_init__(self):
         if self.beta_eff <= 0.0:
@@ -58,7 +60,6 @@ class SamplerConfig:
             raise ValueError(f"anneal_schedule must be one of {ANNEAL_SCHEDULES}")
         if self.beta_sim is not None and self.beta_sim <= 0.0:
             raise ValueError("beta_sim must be positive when given")
-        check_backend(self.backend)
 
     @property
     def effective_beta_sim(self):
@@ -199,7 +200,7 @@ class GibbsSampler(Sampler):
         reads, seed = self._resolve(reads, seed)
         a_rows = _rows(xs) @ model.w1.T + model.b
         cfg = self.config
-        return gibbs_block(a_rows, model.w2, model.c, reads, cfg.burn_in, cfg.thin, seed, backend=cfg.backend)
+        return gibbs_block(a_rows, model.w2, model.c, reads, cfg.burn_in, cfg.thin, seed)
 
     def metadata(self, model, x, seed):
         return {**super().metadata(model, x, seed), "burn_in": self.config.burn_in, "thin": self.config.thin}
@@ -239,7 +240,7 @@ class SimAnnealSampler(Sampler):
         # every row shares the first row's.
         coupling = layer_coupling(prepared[0], model.n_hidden)
         h_rows = np.stack([ising.h for ising in prepared])
-        return anneal_block(h_rows, coupling, self.config.anneal_betas(), reads, seed, backend=self.config.backend)
+        return anneal_block(h_rows, coupling, self.config.anneal_betas(), reads, seed)
 
     def metadata(self, model, x, seed):
         _, report = self.prepare(model, x)

@@ -15,15 +15,14 @@ from .core import adam_update, AdamState, rng_from_seed
 
 @dataclass
 class TrainOptions:
-    """Knobs shared by both trainers. ``reads`` overrides the sampler's
-    configured read count when set; ``use_sampled_hidden`` switches the
-    negative phase to the sampled-k estimator (see ebm.negative_phase)."""
+    """Knobs shared by both trainers. ``use_sampled_hidden`` switches the
+    negative phase to the sampled-k estimator (see ebm.negative_phase);
+    the read count is the sampler's own (SamplerConfig.reads)."""
 
     steps: int = 20
     batch_size: int = 5
     lr: float = 0.1
     seed: int = 0
-    reads: int = None
     use_sampled_hidden: bool = False
 
     def __post_init__(self):

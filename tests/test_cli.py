@@ -197,16 +197,31 @@ class TestBenchCommand:
     def test_end_to_end(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys,
-            "bench", "--sizes", "4,8", "--repeats", "2",
-            "--backend", "numpy", "--output_dir", str(tmp_path / "bench"),
+            "bench", "--sizes", "4,8", "--repeats", "2", "--output_dir", str(tmp_path / "bench"),
         )
         assert code == 0 and not err
         payload = json.loads(out[-1])
-        # --backend numpy restricts the gibbs series to one backend
         assert payload["rows"] == 4
-        assert set(payload["monotone"]) == {"mlp_matmul/numpy", "gibbs_conditional/numpy"}
+        assert set(payload["monotone"]) == {"mlp_matmul", "gibbs_conditional"}
         csv_lines = (tmp_path / "bench" / "bench.csv").read_text().splitlines()
-        assert csv_lines[0].startswith("component,backend,size")
+        assert csv_lines[0] == "component,size,median_seconds,reps"
+
+    def test_backend_flag_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "bench", "--backend", "numpy", "--output_dir", str(tmp_path / "bench"),
+        )
+        assert code == 2 and not out
+        assert json.loads(err[-1])["error"] == "UsageError"
+        assert not (tmp_path / "bench").exists()
+
+    def test_backend_config_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bench.ini"
+        path.write_text(f"backend = numpy\noutput_dir = {tmp_path / 'bench'}\n")
+        code, out, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1 and not out
+        payload = json.loads(err[-1])
+        assert payload["error"] == "ValueError"
+        assert "unknown config key 'backend'" in payload["message"]
 
 
 class TestSummarizeCommand:

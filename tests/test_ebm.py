@@ -365,15 +365,15 @@ class TestSampledNegativePhase:
         est = negative_phase(model, (x, y), sampler, use_sampled_hidden=True)
         assert (est - exact).max_abs() < 0.01
 
-    def test_reads_override_and_determinism(self, make_model):
+    def test_determinism_per_seed(self, make_model):
         model = make_model(n=2, k=1, m=1, seed=64)
         x = np.array([[0.3, 0.7]])
         y = np.array([[1.0]])
-        sampler = ExactSampler(SamplerConfig(reads=100, seed=9))
-        a = negative_phase(model, (x, y), sampler, reads=50, base_seed=123)
-        b = negative_phase(model, (x, y), sampler, reads=50, base_seed=123)
+        sampler = ExactSampler(SamplerConfig(reads=50, seed=9))
+        a = negative_phase(model, (x, y), sampler, base_seed=123)
+        b = negative_phase(model, (x, y), sampler, base_seed=123)
         assert (a - b).max_abs() == 0.0
-        c = negative_phase(model, (x, y), sampler, reads=50, base_seed=124)
+        c = negative_phase(model, (x, y), sampler, base_seed=124)
         assert (a - c).max_abs() > 0.0
 
 

@@ -201,7 +201,7 @@ class TestRunExperiment:
             train,
             test,
             n_hidden=3,
-            options=TrainOptions(steps=4, batch_size=5, lr=0.1, seed=2, reads=400),
+            options=TrainOptions(steps=4, batch_size=5, lr=0.1, seed=2),
             sampler=sampler,
         )
         assert report.steps == [0, 1, 2, 3, 4]
@@ -221,7 +221,7 @@ class TestRunExperiment:
             train,
             test,
             n_hidden=2,
-            options=TrainOptions(steps=1, batch_size=5, lr=0.05, seed=4, reads=200),
+            options=TrainOptions(steps=1, batch_size=5, lr=0.05, seed=4),
             sampler=sampler,
             init_std=0.0,
         )
@@ -239,7 +239,7 @@ class TestRunExperiment:
                 train,
                 test,
                 n_hidden=2,
-                options=TrainOptions(steps=3, batch_size=4, lr=0.1, seed=6, reads=300),
+                options=TrainOptions(steps=3, batch_size=4, lr=0.1, seed=6),
                 sampler=sampler,
             )
             runs.append(tuple(report.kl_nats))
@@ -255,7 +255,7 @@ class TestRunExperiment:
             train,
             test,
             n_hidden=4,
-            options=TrainOptions(steps=5, batch_size=5, lr=0.05, seed=8, reads=500),
+            options=TrainOptions(steps=5, batch_size=5, lr=0.05, seed=8),
             sampler=sampler,
         )
         assert report.max_kl < 0.5

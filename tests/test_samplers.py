@@ -8,14 +8,11 @@ point, independent of any sampling noise.
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from ebmlp._accel import available_backends
+import ebmlp
 from ebmlp._kernels import anneal_block, gibbs_block, gibbs_chain
 from ebmlp.bqm import IsingModel
 from ebmlp.core import rng_from_seed, sigmoid
@@ -31,7 +28,12 @@ from ebmlp.samplers import (
     make_sampler,
 )
 
-BACKENDS = available_backends()
+
+@pytest.fixture(params=["numpy"])
+def kernels(request):
+    """The kernels under test, by the name ebmlp.active_backend() reports
+    and the benchmark records; the name also stays in these tests' ids."""
+    assert ebmlp.active_backend() == request.param
 
 
 def tv_distance(p, q):
@@ -189,48 +191,48 @@ class TestStationarityOracle:
         np.testing.assert_allclose(pi, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("kernels")
 class TestGibbsKernel:
-    def test_shapes_and_binary(self, backend):
-        raw = gibbs_block(np.array([[0.2], [-0.5]]), np.array([[0.1]]), np.array([-0.2]), 25, 10, 2, 7, backend=backend)
+    def test_shapes_and_binary(self):
+        raw = gibbs_block(np.array([[0.2], [-0.5]]), np.array([[0.1]]), np.array([-0.2]), 25, 10, 2, 7)
         assert raw.shape == (2, 25, 2)
         assert raw.dtype == np.uint8
         assert np.all(raw <= 1)
 
-    def test_deterministic_per_seed(self, backend):
+    def test_deterministic_per_seed(self):
         args = (np.array([[0.2, -0.4], [0.1, 0.3]]), np.array([[0.3, 0.1]]), np.array([0.5]), 50, 5, 1)
-        a = gibbs_block(*args, 42, backend=backend)
-        b = gibbs_block(*args, 42, backend=backend)
+        a = gibbs_block(*args, 42)
+        b = gibbs_block(*args, 42)
         np.testing.assert_array_equal(a, b)
-        c = gibbs_block(*args, 43, backend=backend)
+        c = gibbs_block(*args, 43)
         assert not np.array_equal(a, c)
 
-    def test_no_coupling_matches_bernoulli(self, backend):
+    def test_no_coupling_matches_bernoulli(self):
         a_rows = np.array([[1.2], [-0.4]])
         c = np.array([-0.8])
-        raw = gibbs_block(a_rows, np.zeros((1, 1)), c, 40000, 20, 1, 3, backend=backend)
+        raw = gibbs_block(a_rows, np.zeros((1, 1)), c, 40000, 20, 1, 3)
         for p in range(2):
             freq_k = float(raw[p, :, 0].mean())
             freq_y = float(raw[p, :, 1].mean())
             assert abs(freq_k - float(sigmoid(a_rows[p, 0]))) < 0.02
             assert abs(freq_y - float(sigmoid(-0.8))) < 0.02
 
-    def test_block_matches_chain_distribution(self, backend, make_model):
+    def test_block_matches_chain_distribution(self, make_model):
         model = make_model(n=2, k=2, m=1, seed=13)
         xs = rng_from_seed(14).random((3, 2))
         a_rows = xs @ model.w1.T + model.b
-        block = gibbs_block(a_rows, model.w2, model.c, 4000, 50, 1, 9, backend=backend)
+        block = gibbs_block(a_rows, model.w2, model.c, 4000, 50, 1, 9)
         assert block.shape == (3, 4000, 3)
         for p in range(3):
             ss = SampleSet.from_reads(block[p], n_hidden=2)
             pi = dense_conditional(model, xs[p])
             assert tv_distance(ss.empirical_probabilities(3), pi) < 0.05
 
-    def test_chain_is_one_row_block(self, backend):
+    def test_chain_is_one_row_block(self):
         args = (np.array([[0.3, 0.1]]), np.array([-0.2]), 30, 4, 2, 5)
         np.testing.assert_array_equal(
-            gibbs_chain(np.array([0.7, -0.1]), *args, backend=backend),
-            gibbs_block(np.array([[0.7, -0.1]]), *args, backend=backend)[0],
+            gibbs_chain(np.array([0.7, -0.1]), *args),
+            gibbs_block(np.array([[0.7, -0.1]]), *args)[0],
         )
 
 
@@ -243,65 +245,65 @@ def clamped_fields(model, xs, beta_eff):
     return np.stack([ising.h for ising, _ in prepared]), layer_coupling(prepared[0][0], model.n_hidden)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("kernels")
 class TestAnnealKernel:
-    def test_strong_field_aligns_spins(self, backend):
+    def test_strong_field_aligns_spins(self):
         betas = np.geomspace(0.1, 8.0, 100)
-        raw = anneal_block(np.array([[3.0, -3.0]]), np.zeros((1, 1)), betas, 200, 5, backend=backend)
+        raw = anneal_block(np.array([[3.0, -3.0]]), np.zeros((1, 1)), betas, 200, 5)
         assert raw.shape == (1, 200, 2)
         assert float(raw[0, :, 0].mean()) > 0.95
         assert float(raw[0, :, 1].mean()) < 0.05
 
-    def test_deterministic_per_seed(self, backend):
+    def test_deterministic_per_seed(self):
         betas = np.geomspace(0.1, 4.0, 30)
         h_rows = np.array([[0.4, -0.2], [-0.1, 0.3]])
         coupling = np.array([[0.25]])
-        a = anneal_block(h_rows, coupling, betas, 64, 11, backend=backend)
-        b = anneal_block(h_rows, coupling, betas, 64, 11, backend=backend)
+        a = anneal_block(h_rows, coupling, betas, 64, 11)
+        b = anneal_block(h_rows, coupling, betas, 64, 11)
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, anneal_block(h_rows, coupling, betas, 64, 12, backend=backend))
+        assert not np.array_equal(a, anneal_block(h_rows, coupling, betas, 64, 12))
 
-    def test_each_row_matches_its_conditional(self, backend, make_model):
+    def test_each_row_matches_its_conditional(self, make_model):
         # three clamped inputs in one call; beta_sim = beta_eff and no
         # clipping, so every row targets exactly its own conditional
         model = make_model(n=2, k=2, m=1, seed=25)
         xs = rng_from_seed(26).random((3, 2))
         h_rows, coupling = clamped_fields(model, xs, 16.0)
-        raw = anneal_block(h_rows, coupling, np.geomspace(0.1, 16.0, 300), 40000, 27, backend=backend)
+        raw = anneal_block(h_rows, coupling, np.geomspace(0.1, 16.0, 300), 40000, 27)
         assert raw.shape == (3, 40000, 3)
         for p in range(3):
             ss = SampleSet.from_reads(raw[p], n_hidden=2)
             assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, xs[p])) < 0.05
 
-    def test_column_count_checked(self, backend):
+    def test_column_count_checked(self):
         with pytest.raises(ValueError, match="columns"):
-            anneal_block(np.zeros((1, 3)), np.zeros((1, 1)), [1.0], 4, 0, backend=backend)
+            anneal_block(np.zeros((1, 3)), np.zeros((1, 1)), [1.0], 4, 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("kernels")
 class TestSamplersAgainstExact:
-    def test_zero_model_uniform(self, backend):
+    def test_zero_model_uniform(self):
         model = EbmModel.zeros(2, 2, 1)
         x = np.zeros(2)
         uniform = np.full(8, 1.0 / 8.0)
         for name, tol in (("exact", 0.02), ("gibbs", 0.02), ("simanneal", 0.05)):
-            cfg = SamplerConfig(reads=20000, burn_in=50, anneal_sweeps=100, seed=21, backend=backend)
+            cfg = SamplerConfig(reads=20000, burn_in=50, anneal_sweeps=100, seed=21)
             ss = make_sampler(name, cfg).sample(model, x)
             assert tv_distance(ss.empirical_probabilities(3), uniform) < tol, name
 
-    def test_gibbs_matches_conditional(self, backend, make_model):
+    def test_gibbs_matches_conditional(self, make_model):
         model = make_model(n=2, k=2, m=1, seed=22)
         x = rng_from_seed(23).random(2)
-        cfg = SamplerConfig(reads=60000, burn_in=100, seed=24, backend=backend)
+        cfg = SamplerConfig(reads=60000, burn_in=100, seed=24)
         ss = GibbsSampler(cfg).sample(model, x)
         assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, x)) < 0.02
 
-    def test_simanneal_matches_conditional(self, backend, make_model):
+    def test_simanneal_matches_conditional(self, make_model):
         # beta_sim = beta_eff and coefficients inside hardware range: the
         # anneal targets exactly the encoded conditional
         model = make_model(n=2, k=2, m=1, seed=25)
         x = rng_from_seed(26).random(2)
-        cfg = SamplerConfig(beta_eff=16.0, reads=40000, anneal_sweeps=300, seed=27, backend=backend)
+        cfg = SamplerConfig(beta_eff=16.0, reads=40000, anneal_sweeps=300, seed=27)
         sampler = SimAnnealSampler(cfg)
         _, report = sampler.prepare(model, x)
         assert not report
@@ -309,11 +311,11 @@ class TestSamplersAgainstExact:
         assert ss.metadata["clipped_coefficients"] == 0
         assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, x)) < 0.05
 
-    def test_sampler_determinism(self, backend, make_model):
+    def test_sampler_determinism(self, make_model):
         model = make_model(n=2, k=1, m=1, seed=28)
         x = np.array([0.3, 0.6])
         for name in ("exact", "gibbs", "simanneal"):
-            cfg = SamplerConfig(reads=500, anneal_sweeps=50, seed=31, backend=backend)
+            cfg = SamplerConfig(reads=500, anneal_sweeps=50, seed=31)
             a = make_sampler(name, cfg).sample(model, x)
             b = make_sampler(name, cfg).sample(model, x)
             np.testing.assert_array_equal(a.assignments, b.assignments)
@@ -366,19 +368,6 @@ class TestSamplerPlumbing:
         sampler = ExactSampler(SamplerConfig())
         with pytest.raises(ValueError, match="reads"):
             sampler.sample(make_model(), np.zeros(3), reads=0)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            gibbs_chain(np.zeros(1), np.zeros((1, 1)), np.zeros(1), 5, 0, 1, 0, backend="cuda")
-
-    def test_numba_backend_rejected(self):
-        assert available_backends() == ("numpy",)
-        with pytest.raises(ValueError, match="unknown backend 'numba'"):
-            SamplerConfig(backend="numba")
-        env = {**os.environ, "EBMLP_BACKEND": "numba", "PYTHONPATH": os.pathsep.join(sys.path)}
-        done = subprocess.run([sys.executable, "-c", "import ebmlp"], env=env, capture_output=True, text=True)
-        assert done.returncode != 0
-        assert "EBMLP_BACKEND: unknown backend 'numba'" in done.stderr
 
 
 class TestSampleBatch:
