@@ -25,10 +25,10 @@ from .ebm import (
     mean_log_likelihood,
     train_ebm,
 )
-from .equivalence import EquivalenceReport, run_equivalence_experiment, symmetrized_kl, transfer_weights
+from .equivalence import EquivalenceReport, run_equivalence_experiment, symmetrized_kl
 from .experiments import RunConfig, TRACKS, TrialSummary, bench_runtime, run_track, summarize_trials
 from .mlp import accuracy as mlp_accuracy, cross_entropy, forward, grad_backprop, train_mlp
-from .models import EbmModel, GradientSet, MlpModel, load_model, save_model
+from .models import GradientSet, Model, initial_model, load_model, save_model
 from .samplers import ExactSampler, GibbsSampler, SampleSet, SamplerConfig, SimAnnealSampler, make_sampler
 from .training import TrainingTrace, TrainOptions
 
@@ -45,14 +45,13 @@ __all__ = [
     "Bqm",
     "ClampReport",
     "Dataset",
-    "EbmModel",
     "EquivalenceReport",
     "ExactSampler",
     "GibbsSampler",
     "GradientSet",
     "IdxFile",
     "IsingModel",
-    "MlpModel",
+    "Model",
     "RunConfig",
     "SampleSet",
     "SamplerConfig",
@@ -75,6 +74,7 @@ __all__ = [
     "forward",
     "grad_backprop",
     "grad_conditional_ll",
+    "initial_model",
     "ising_to_bqm",
     "ising_to_text",
     "load_idx",
@@ -94,6 +94,5 @@ __all__ = [
     "synthetic_task",
     "train_ebm",
     "train_mlp",
-    "transfer_weights",
     "__version__",
 ]

@@ -82,13 +82,9 @@ class IsingModel:
             raise ValueError("spins must be -1 or +1")
         return float(-self.h @ spins - spins @ self.j @ spins + self.offset)
 
-    def symmetric_couplings(self):
-        """Dense symmetric coupling matrix J + J^T used by sweep kernels."""
-        return self.j + self.j.T
-
 
 def build_conditional_bqm(model, x, beta_eff):
-    """Encode P(k, y | x) of an EbmModel as a Bqm over (k, y).
+    """Encode P(k, y | x) of a Model as a Bqm over (k, y).
 
     Variables 0..K-1 are the hidden units, K..K+M-1 the outputs. The
     clamped energy E(x, k, y) enters negated and scaled by 1/beta_eff, so

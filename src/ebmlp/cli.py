@@ -20,17 +20,15 @@ from .experiments import (
     TRACKS,
     TrialSummary,
     bench_runtime,
-    initial_models,
     load_task,
     monotone_components,
     run_equivalence,
     run_track,
     summarize_trials,
-    success_rule,
-    steps_to_target,
     write_bench_csv,
     write_bqm_dump,
 )
+from .models import initial_model
 from .training import read_trace_csv
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -53,8 +51,6 @@ def _parse_bool(text):
 
 
 def _parse_sizes(text):
-    if isinstance(text, (tuple, list)):
-        return tuple(int(s) for s in text)
     parts = [p for p in str(text).replace(",", " ").split() if p]
     if not parts:
         raise ValueError("sizes must list at least one positive integer")
@@ -69,8 +65,6 @@ def _coerce(name, value):
         return None
     if name == "sizes":
         return _parse_sizes(value)
-    if name == "use_sampled_hidden":
-        return _parse_bool(value)
     default = _CONFIG_FIELDS[name].default
     if isinstance(default, bool):
         return _parse_bool(value)
@@ -124,10 +118,10 @@ def _cmd_train(args):
     config = build_run_config(args, require_track=args.track)
     train_set, test_set = load_task(config)
     if args.dump_bqm:
-        _, ebm_model = initial_models(config, config.seed, train_set.n_features)
+        model = initial_model(config.seed, train_set.n_features, config.n_hidden, config.init_std)
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_bqm_dump(ebm_model, train_set.inputs[0], config.beta_eff, out / "bqm_dump.txt")
+        write_bqm_dump(model, train_set.inputs[0], config.beta_eff, out / "bqm_dump.txt")
     def progress(trial, summary):
         line = {"trial": trial, "seed": summary.seed, "final_accuracy": summary.final_accuracy,
                 "steps_to_70": summary.steps_to_target, "success": summary.success}
@@ -175,21 +169,10 @@ def _cmd_summarize(args):
     traces = sorted(directory.glob("trace_*.csv"))
     if not traces:
         raise FileNotFoundError(f"no trace_*.csv files in {directory}")
-    summaries = []
-    for path in traces:
-        trial = int(path.stem.split("_")[1])
-        seed = _seed_from_comment(path)
-        trace = read_trace_csv(path)
-        accs = trace.test_accuracy
-        summaries.append(
-            TrialSummary(
-                trial=trial,
-                seed=seed,
-                final_accuracy=accs[-1] if accs else None,
-                steps_to_target=steps_to_target(accs),
-                success=success_rule(accs),
-            )
-        )
+    summaries = [
+        TrialSummary.from_accuracies(int(p.stem.split("_")[1]), _seed_from_comment(p), read_trace_csv(p).test_accuracy)
+        for p in traces
+    ]
     aggregate = summarize_trials(summaries)
     print(
         json.dumps(

@@ -150,9 +150,12 @@ def make_binary_task(train_images, train_labels, test_images, test_labels, class
         raise ValueError("train_count must be even")
     lo, hi = sorted((class_a, class_b))
 
-    def flatten(images):
+    def flatten(images, rows):
+        # select first, so only the kept rows are ever converted to float
         images = np.asarray(images)
-        return images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+        picked = images.reshape(images.shape[0], -1)[rows].astype(np.float64)
+        picked /= 255.0
+        return picked
 
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
@@ -171,8 +174,8 @@ def make_binary_task(train_images, train_labels, test_images, test_labels, class
         raise ValueError("both classes must appear in the test split")
 
     names = (str(lo), str(hi))
-    train = Dataset(flatten(train_images)[train_idx], (train_labels[train_idx] == hi).astype(np.uint8), names)
-    test = Dataset(flatten(test_images)[test_mask], (test_labels[test_mask] == hi).astype(np.uint8), names)
+    train = Dataset(flatten(train_images, train_idx), (train_labels[train_idx] == hi).astype(np.uint8), names)
+    test = Dataset(flatten(test_images, test_mask), (test_labels[test_mask] == hi).astype(np.uint8), names)
     return train, test
 
 

@@ -231,11 +231,11 @@ def grad_conditional_ll(model, batch, sampler=None, base_seed=None, use_sampled_
 def sampled_gradient(sampler, options):
     """Gradient function for :func:`ebmlp.training.fit`: the negated
     conditional log-likelihood gradient (exact when ``sampler`` is None),
-    with the sampler seeded afresh from the step index."""
-    base = derive_seed(options.seed, 0x5EED)
+    with the sampler seeded afresh each step from its configured seed and
+    the step index."""
 
     def gradient(model, batch, step):
-        seed = derive_seed(base, step << 20)
+        seed = None if sampler is None else derive_seed(sampler.config.seed, step << 20)
         return grad_conditional_ll(
             model, batch, sampler, base_seed=seed, use_sampled_hidden=options.use_sampled_hidden
         ).negate()

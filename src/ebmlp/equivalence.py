@@ -1,11 +1,10 @@
-"""Weight transfer between the two model views and the lockstep
-cross-evaluation experiment.
+"""The lockstep cross-evaluation experiment.
 
-The parameterizations are layout-identical, so transfer is an identity
-copy; everything interesting is in how differently the two training rules
-move the shared starting point, measured per step by swapped-weight losses,
-the four test accuracies, and the symmetrized KL divergence between the
-models' output distributions.
+The MLP and the EBM are two readings of one parameter set, so both start
+from copies of one ``Model``; everything interesting is in how differently
+the two training rules move the shared starting point, measured per step by
+swapped-weight losses, the four test accuracies, and the symmetrized KL
+divergence between the models' output distributions.
 """
 
 import csv
@@ -14,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import derive_seed, rng_from_seed
-from .models import EbmModel, MlpModel
+from .models import initial_model
 from .training import atomic_open, fit, TrainOptions
 from . import ebm, mlp
-from .samplers import GibbsSampler, SamplerConfig
+from .samplers import GibbsSampler, SamplerConfig, sampler_seed
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -34,16 +32,6 @@ REPORT_COLUMNS = (
     "acc_ebm_mlp_weights",
     "kl_nats",
 )
-
-
-def transfer_weights(source):
-    """Identity copy of (W1, W2, b, c) into the other model kind.
-
-    EbmModel in, MlpModel out, and vice versa; applying it twice returns a
-    bitwise-identical parameter set.
-    """
-    target = MlpModel if isinstance(source, EbmModel) else EbmModel
-    return target(source.w1.copy(), source.w2.copy(), source.b.copy(), source.c.copy())
 
 
 def symmetrized_kl(p_outputs, q_outputs, clamp=1e-12):
@@ -136,18 +124,17 @@ def _output_probabilities(ebm_model, inputs):
 def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, sampler=None, init_std=0.01):
     """Train an MLP (backprop) and an EBM (sampled conditional gradient)
     in lockstep from one shared Gaussian initialization and identical batch
-    sequences, cross-evaluating transferred weights each step.
+    sequences, cross-evaluating each model's weights the other way each step.
 
     The EBM's negative phase uses Gibbs sampling unless another sampler is
     given; its log-likelihood series is evaluated exactly via the closed
     form, which is tractable at any hidden width.
     """
     options = options or TrainOptions()
-    rng = rng_from_seed([options.seed, 0x1B17])
-    mlp_model = MlpModel.init_gaussian(train_set.n_features, n_hidden, 1, rng, std=init_std)
-    ebm_model = transfer_weights(mlp_model)
+    mlp_model = initial_model(options.seed, train_set.n_features, n_hidden, init_std)
+    ebm_model = mlp_model.copy()
     if sampler is None:
-        sampler = GibbsSampler(SamplerConfig(seed=derive_seed(options.seed, 0x5EED)))
+        sampler = GibbsSampler(SamplerConfig(seed=sampler_seed(options.seed)))
 
     report = EquivalenceReport(
         metadata={
@@ -162,8 +149,8 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, s
         }
     )
 
-    # Both readings take any parameter container, so each model is read
-    # the other way directly, without a transferred copy.
+    # Both readings take any Model, so each model is read the other way
+    # directly.
     def record(step):
         report.append(
             step=step,

@@ -19,13 +19,13 @@ import numpy as np
 
 from ._kernels import gibbs_block
 from .bqm import bqm_to_ising, bqm_to_text, build_conditional_bqm, clamp_to_hardware, ising_to_text
-from .core import derive_seed, rng_from_seed
+from .core import rng_from_seed
 from .data import load_standard_split, make_binary_task
 from .ebm import train_ebm
-from .equivalence import run_equivalence_experiment, transfer_weights
+from .equivalence import run_equivalence_experiment
 from .mlp import train_mlp
-from .models import MlpModel
-from .samplers import GibbsSampler, make_sampler, SamplerConfig
+from .models import initial_model
+from .samplers import GibbsSampler, make_sampler, SamplerConfig, sampler_seed
 from .training import atomic_open, TrainOptions
 
 TRACKS = ("classical1", "classical2", "quantum-sim")
@@ -78,14 +78,18 @@ class RunConfig:
     def __post_init__(self):
         if self.track not in ALL_TRACKS:
             raise ValueError(f"unknown track {self.track!r}; choose from {ALL_TRACKS}")
-        for name in ("train_count", "n_hidden", "batch_size", "trials"):
+        for name in ("train_count", "n_hidden", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.steps < 0 or self.lr <= 0:
-            raise ValueError("steps must be >= 0 and lr positive")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
         self.sizes = tuple(int(s) for s in self.sizes)
         if any(s < 1 for s in self.sizes):
             raise ValueError("benchmark sizes must be positive")
+        # built once here so the sampler and training rules, which live in
+        # SamplerConfig and TrainOptions, reject a bad config before any trial
+        self.sampler_config(self.seed)
+        self.train_options(self.seed)
 
     def sampler_config(self, seed):
         return SamplerConfig(
@@ -119,6 +123,17 @@ class TrialSummary:
     success: bool = False
     failed: bool = False
     error: str = ""
+
+    @classmethod
+    def from_accuracies(cls, trial, seed, accuracies):
+        """Summary of a finished trial from its per-step test accuracies."""
+        return cls(
+            trial=trial,
+            seed=seed,
+            final_accuracy=accuracies[-1] if accuracies else None,
+            steps_to_target=steps_to_target(accuracies),
+            success=success_rule(accuracies),
+        )
 
     def as_dict(self):
         return asdict(self)
@@ -160,35 +175,19 @@ def load_task(config):
     )
 
 
-def initial_models(config, seed, n_features):
-    """Shared Gaussian initialization: every track starts from the same
-    parameters at the same trial seed, so tracks differ only in training."""
-    rng = rng_from_seed([seed, 0x1B17])
-    mlp_model = MlpModel.init_gaussian(n_features, config.n_hidden, 1, rng, std=config.init_std)
-    return mlp_model, transfer_weights(mlp_model)
-
-
 def run_trial(config, trial_index, train_set, test_set):
     """One independent trial; returns (trace, TrialSummary)."""
     seed = config.seed + trial_index
     options = config.train_options(seed)
-    mlp_model, ebm_model = initial_models(config, seed, train_set.n_features)
+    model = initial_model(seed, train_set.n_features, config.n_hidden, config.init_std)
     if config.track == "classical1":
-        trace = train_mlp(mlp_model, train_set, options, test_set)
+        trace = train_mlp(model, train_set, options, test_set)
     elif config.track in TRACK_SAMPLERS:
-        sampler = make_sampler(TRACK_SAMPLERS[config.track], config.sampler_config(derive_seed(seed, 0x5EED)))
-        trace = train_ebm(ebm_model, train_set, sampler, options, test_set)
+        sampler = make_sampler(TRACK_SAMPLERS[config.track], config.sampler_config(sampler_seed(seed)))
+        trace = train_ebm(model, train_set, sampler, options, test_set)
     else:
         raise ValueError(f"track {config.track!r} is not a training track")
-    accs = trace.test_accuracy
-    summary = TrialSummary(
-        trial=trial_index,
-        seed=seed,
-        final_accuracy=accs[-1],
-        steps_to_target=steps_to_target(accs),
-        success=success_rule(accs),
-    )
-    return trace, summary
+    return trace, TrialSummary.from_accuracies(trial_index, seed, trace.test_accuracy)
 
 
 def summarize_trials(summaries):
@@ -262,7 +261,7 @@ def run_equivalence(config, train_set=None, test_set=None):
     output directory (equivalence.csv / equivalence.json)."""
     if train_set is None or test_set is None:
         train_set, test_set = load_task(config)
-    sampler = GibbsSampler(config.sampler_config(derive_seed(config.seed, 0x5EED)))
+    sampler = GibbsSampler(config.sampler_config(sampler_seed(config.seed)))
     report = run_equivalence_experiment(
         train_set,
         test_set,

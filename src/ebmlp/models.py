@@ -1,15 +1,17 @@
-"""Parameter containers shared by the energy-based and feedforward views,
-their initializers, and the flat binary serialization format.
+"""The one parameter set, read feedforwardly as an MLP or generatively as
+an EBM, with its initializers and the flat binary serialization format.
 
-Both views use the identical layout: W1 (K x N), W2 (M x K), hidden bias b
-(K), output bias c (M). Weight transfer between the two views is therefore
-an identity copy, and the on-disk format below serves both.
+Layout: W1 (K x N), W2 (M x K), hidden bias b (K), output bias c (M).
+Both readings take the same ``Model``, so moving weights between them is
+``Model.copy()``.
 """
 
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import rng_from_seed
 
 MODEL_MAGIC = b"EBMLP001"
 
@@ -34,8 +36,9 @@ def _validate_group(w1, w2, b, c):
 
 
 @dataclass
-class ParamContainer:
-    """Weight/bias container with the shared two-layer layout."""
+class Model:
+    """Two-layer weights and biases: z = sigma(W2 sigma(W1 x + b) + c) read
+    feedforwardly, an energy over (x, k, y) read generatively."""
 
     w1: np.ndarray
     w2: np.ndarray
@@ -101,12 +104,15 @@ class ParamContainer:
         )
 
 
-class EbmModel(ParamContainer):
-    """Parameters read generatively: they define an energy over (x, k, y)."""
+# perfbench/bench.py builds models.EbmModel(w1, w2, b, c)
+EbmModel = MlpModel = Model
 
 
-class MlpModel(ParamContainer):
-    """Parameters read feedforwardly: z = sigma(W2 sigma(W1 x + b) + c)."""
+def initial_model(seed, n_features, n_hidden, init_std):
+    """The seeded Gaussian start of a run: one output, weights from
+    N(0, init_std^2), biases zero. Every track at the same seed starts from
+    these parameters, so tracks differ only in training."""
+    return Model.init_gaussian(n_features, n_hidden, 1, rng_from_seed([seed, 0x1B17]), std=init_std)
 
 
 @dataclass
@@ -122,7 +128,7 @@ class GradientSet:
         self.dw1, self.dw2, self.db, self.dc = _validate_group(self.dw1, self.dw2, self.db, self.dc)
 
     def as_param_dict(self):
-        """Gradient dict keyed like ParamContainer.params()."""
+        """Gradient dict keyed like Model.params()."""
         return {"w1": self.dw1, "w2": self.dw2, "b": self.db, "c": self.dc}
 
     def __sub__(self, other):
@@ -150,10 +156,7 @@ def model_to_bytes(model):
     return b"".join(parts)
 
 
-def model_from_bytes(data, kind="ebm"):
-    cls = {"ebm": EbmModel, "mlp": MlpModel}.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown model kind {kind!r}")
+def model_from_bytes(data):
     if data[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ValueError("bad model file magic")
     off = len(MODEL_MAGIC)
@@ -169,7 +172,7 @@ def model_from_bytes(data, kind="ebm"):
     for count in counts:
         arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=off).astype(np.float64))
         off += 8 * count
-    return cls(arrays[0].reshape(k, n), arrays[1].reshape(m, k), arrays[2], arrays[3])
+    return Model(arrays[0].reshape(k, n), arrays[1].reshape(m, k), arrays[2], arrays[3])
 
 
 def save_model(model, path):
@@ -177,6 +180,6 @@ def save_model(model, path):
         fh.write(model_to_bytes(model))
 
 
-def load_model(path, kind="ebm"):
+def load_model(path):
     with open(path, "rb") as fh:
-        return model_from_bytes(fh.read(), kind=kind)
+        return model_from_bytes(fh.read())

@@ -20,7 +20,7 @@ import numpy as np
 # gibbs_chain is unused here but stays bound: perfbench/selftest.py patches it in this module
 from ._kernels import anneal_block, gibbs_block, gibbs_chain  # noqa: F401
 from .bqm import bqm_to_ising, build_conditional_bqm, clamp_to_hardware
-from .core import rng_from_seed
+from .core import derive_seed, rng_from_seed
 
 ANNEAL_SCHEDULES = ("geometric", "linear")
 
@@ -31,7 +31,9 @@ class SamplerConfig:
 
     ``reads`` is the only read-count setting: trainers draw what the
     sampler is configured to draw, and only a direct ``sample`` or
-    ``sample_batch`` call can ask for another count. beta_sim defaults to
+    ``sample_batch`` call can ask for another count. Likewise ``seed`` is
+    the only sampler seed: trainers derive each step's seed from it.
+    beta_sim defaults to
     beta_eff, which makes the simulated annealer's target distribution
     exactly the encoded conditional; setting it apart studies
     hardware-calibration error.
@@ -71,6 +73,12 @@ class SamplerConfig:
         if self.anneal_schedule == "geometric":
             return np.geomspace(self.anneal_beta_start, end, self.anneal_sweeps)
         return np.linspace(self.anneal_beta_start, end, self.anneal_sweeps)
+
+
+def sampler_seed(seed):
+    """The SamplerConfig.seed of a run seeded ``seed``: a tagged derivation,
+    so sampler draws stay independent of the run's other seeded streams."""
+    return derive_seed(seed, 0x5EED)
 
 
 @dataclass

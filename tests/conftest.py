@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from ebmlp.data import STANDARD_SPLIT_FILES, IdxFile, find_split_file, serialize_idx
-from ebmlp.models import EbmModel, MlpModel
+from ebmlp.models import Model
 
 
 @pytest.fixture
 def make_model():
-    """Factory for small seeded models of either kind."""
+    """Factory for small seeded models."""
 
-    def _make(kind="ebm", n=3, k=2, m=1, seed=0, std=0.5):
-        cls = {"ebm": EbmModel, "mlp": MlpModel}[kind]
+    def _make(n=3, k=2, m=1, seed=0, std=0.5):
         rng = np.random.default_rng(seed)
-        return cls(
+        return Model(
             rng.normal(0.0, std, size=(k, n)),
             rng.normal(0.0, std, size=(m, k)),
             rng.normal(0.0, std, size=k),

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from ebmlp.bqm import bqm_to_ising, build_conditional_bqm
-from ebmlp.core import derive_seed, rng_from_seed
+from ebmlp.core import rng_from_seed
 from ebmlp.ebm import (
     conditional_log_likelihood,
     exact_conditional,
@@ -24,15 +24,14 @@ from ebmlp.ebm import (
 from ebmlp.experiments import (
     RunConfig,
     bench_runtime,
-    initial_models,
     load_task,
     monotone_components,
     run_equivalence,
     run_track,
 )
 from ebmlp.mlp import grad_backprop, mean_cross_entropy, train_mlp
-from ebmlp.models import EbmModel, MlpModel
-from ebmlp.samplers import GibbsSampler, SamplerConfig, SimAnnealSampler
+from ebmlp.models import Model, initial_model
+from ebmlp.samplers import GibbsSampler, SamplerConfig, SimAnnealSampler, sampler_seed
 
 PARAM_NAMES = ("w1", "w2", "b", "c")
 
@@ -76,7 +75,7 @@ def test_01_mlp_backprop_matches_finite_differences():
     for _ in range(10):
         n = int(rng.integers(1, 11))
         k = int(rng.integers(1, 7))
-        model = MlpModel(
+        model = Model(
             rng.normal(0.0, 0.7, (k, n)),
             rng.normal(0.0, 0.7, (1, k)),
             rng.normal(0.0, 0.7, k),
@@ -101,7 +100,7 @@ def test_02_ebm_exact_gradient_matches_finite_differences():
     for _ in range(10):
         n = int(rng.integers(1, 7))
         k = int(rng.integers(1, 5))
-        model = EbmModel(
+        model = Model(
             rng.normal(0.0, 0.7, (k, n)),
             rng.normal(0.0, 0.7, (1, k)),
             rng.normal(0.0, 0.7, k),
@@ -140,8 +139,8 @@ def test_03_gradient_discrepancy_shrinks_quadratically():
         y = np.array([0.0, 1.0] * 4).reshape(8, 1)
         gaps = []
         for s in scales:
-            gm = grad_backprop(MlpModel(s * w1, s * w2, s * b, s * c), (x, y)).as_param_dict()
-            ge = grad_conditional_ll(EbmModel(s * w1, s * w2, s * b, s * c), (x, y)).as_param_dict()
+            gm = grad_backprop(Model(s * w1, s * w2, s * b, s * c), (x, y)).as_param_dict()
+            ge = grad_conditional_ll(Model(s * w1, s * w2, s * b, s * c), (x, y)).as_param_dict()
             gaps.append(max(float(np.max(np.abs(gm[nm] + ge[nm]))) for nm in PARAM_NAMES))
         slope = float(np.polyfit(np.log(scales), np.log(gaps), 1)[0])
         checks.append((f"seed {seed} exponent {slope:.3f} in [1.8, 2.2]", 1.8 <= slope <= 2.2))
@@ -164,7 +163,7 @@ def test_04_bqm_ising_and_boltzmann_identities():
         k = int(rng.integers(1, 12))
         m = int(rng.integers(1, min(12 - k, 4) + 1))
         n = int(rng.integers(1, 7))
-        model = EbmModel(
+        model = Model(
             rng.normal(0.0, 0.7, (k, n)),
             rng.normal(0.0, 0.7, (m, k)),
             rng.normal(0.0, 0.7, k),
@@ -201,7 +200,7 @@ def test_05_sampler_fidelity_at_1e5_reads():
     t0 = time.perf_counter()
     rng = rng_from_seed(3)
     n, k, m = 4, 5, 3
-    model = EbmModel(
+    model = Model(
         rng.normal(0.0, 0.5, (k, n)),
         rng.normal(0.0, 0.5, (m, k)),
         rng.normal(0.0, 0.5, k),
@@ -237,14 +236,12 @@ def _peak_weight_over_run(config, train_set, test_set):
     peak = 0.0
     for steps in range(1, config.steps + 1):
         prefix = dataclasses.replace(config, steps=steps)
-        mlp_model, ebm_model = initial_models(prefix, prefix.seed, train_set.n_features)
+        model = initial_model(prefix.seed, train_set.n_features, prefix.n_hidden, prefix.init_std)
         options = prefix.train_options(prefix.seed)
         if config.track == "classical1":
-            model = mlp_model
             train_mlp(model, train_set, options, test_set)
         else:
-            model = ebm_model
-            sampler = GibbsSampler(prefix.sampler_config(derive_seed(prefix.seed, 0x5EED)))
+            sampler = GibbsSampler(prefix.sampler_config(sampler_seed(prefix.seed)))
             train_ebm(model, train_set, sampler, options, test_set)
         step_peak = max(float(np.max(np.abs(getattr(model, nm)))) for nm in PARAM_NAMES)
         peak = max(peak, step_peak)

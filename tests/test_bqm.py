@@ -25,7 +25,7 @@ from ebmlp.bqm import (
 )
 from ebmlp.core import rng_from_seed
 from ebmlp.ebm import enumerate_states, exact_conditional, state_energies
-from ebmlp.models import EbmModel
+from ebmlp.models import Model
 
 
 def random_bqm(n, rng, scale=1.0):
@@ -77,17 +77,12 @@ class TestContainers:
         with pytest.raises(ValueError, match="spins"):
             ising.energy(np.array([1.0, 0.0]))
 
-    def test_symmetric_couplings(self):
-        j = np.array([[0.0, 0.3], [0.0, 0.0]])
-        ising = IsingModel(2, np.zeros(2), j)
-        np.testing.assert_array_equal(ising.symmetric_couplings(), j + j.T)
-
 
 class TestBuildConditionalBqm:
     def test_hand_example(self):
         # K=1, M=1, W1=[[1]], x=[1], b=[0.6], c=[-0.4], W2=[[0.2]], beta=2:
         # diagonal [-(1.0+0.6)/2, 0.4/2], coupling -0.2/2
-        model = EbmModel(np.array([[1.0]]), np.array([[0.2]]), np.array([0.6]), np.array([-0.4]))
+        model = Model(np.array([[1.0]]), np.array([[0.2]]), np.array([0.6]), np.array([-0.4]))
         bqm = build_conditional_bqm(model, np.array([1.0]), 2.0)
         assert bqm.n == 2
         assert bqm.offset == 0.0
@@ -95,13 +90,13 @@ class TestBuildConditionalBqm:
         assert math.isclose(float(bqm.q[0, 1]), -0.1, abs_tol=1e-15)
 
     def test_zero_model_gives_zero_matrix(self):
-        model = EbmModel.zeros(5, 2, 1)
+        model = Model.zeros(5, 2, 1)
         bqm = build_conditional_bqm(model, np.ones(5), 4.0)
         assert not np.any(bqm.q) and bqm.offset == 0.0
 
     def test_size_independent_of_input_width(self):
         for n in (1, 10, 100):
-            model = EbmModel.zeros(n, 3, 2)
+            model = Model.zeros(n, 3, 2)
             assert build_conditional_bqm(model, np.zeros(n), 1.0).n == 5
 
     def test_scaled_energy_matches_clamped_energy(self, make_model):

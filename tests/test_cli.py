@@ -59,7 +59,6 @@ class TestCoercion:
     def test_parse_sizes_separators(self):
         assert _parse_sizes("10,100,1000") == (10, 100, 1000)
         assert _parse_sizes("10 100") == (10, 100)
-        assert _parse_sizes([5, 6]) == (5, 6)
         with pytest.raises(ValueError, match="at least one"):
             _parse_sizes("")
 
@@ -158,6 +157,16 @@ class TestTrainCommand:
         assert not out
         payload = json.loads(err[0])
         assert payload["error"] == "FileNotFoundError"
+
+    def test_bad_sampler_setting_fails_before_any_trial(self, capsys, config_file, tmp_path):
+        code, out, err = run_cli(
+            capsys, "train", "--track", "quantum-sim", "--config", str(config_file()), "--anneal_schedule", "cubic"
+        )
+        assert code == 1
+        assert not out
+        payload = json.loads(err[0])
+        assert payload["error"] == "ValueError" and "anneal_schedule" in payload["message"]
+        assert not list((tmp_path / "runs").glob("trace_*.csv"))
 
     def test_usage_error_is_json_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "train", "--track", "warp")

@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ebmlp.data import (
     synthetic_task,
 )
 from ebmlp.mlp import accuracy, train_mlp
-from ebmlp.models import MlpModel
+from ebmlp.models import Model
 from ebmlp.training import TrainOptions
 
 
@@ -182,6 +183,36 @@ class TestMakeBinaryTask:
         mask = (test_labels == 0) | (test_labels == 1)
         np.testing.assert_array_equal(test.labels, test_labels[mask])
 
+    @staticmethod
+    def _ten_class_split(rng, n_train=2000, n_test=1000, side=28):
+        train_y = (np.arange(n_train) % 10).astype(np.uint8)
+        test_y = (np.arange(n_test) % 10).astype(np.uint8)
+        train_x = rng.integers(0, 256, size=(n_train, side, side), dtype=np.uint8)
+        test_x = rng.integers(0, 256, size=(n_test, side, side), dtype=np.uint8)
+        return train_x, train_y, test_x, test_y
+
+    def test_rows_equal_whole_split_conversion(self):
+        train_x, train_y, test_x, test_y = self._ten_class_split(rng_from_seed(30), 200, 100, 6)
+        train, test = make_binary_task(train_x, train_y, test_x, test_y, class_a=3, class_b=7, train_count=20, seed=2)
+        mask = (test_y == 3) | (test_y == 7)
+        whole = test_x.reshape(len(test_x), -1).astype(np.float64) / 255.0
+        assert np.array_equal(test.inputs, whole[mask])
+        whole_train = train_x.reshape(len(train_x), -1).astype(np.float64) / 255.0
+        assert all(any(np.array_equal(row, ref) for ref in whole_train) for row in train.inputs)
+
+    def test_peak_memory_tracks_kept_rows(self):
+        # two classes of ten: converting whole splits before selecting rows
+        # would peak at several times what the task keeps
+        splits = self._ten_class_split(rng_from_seed(31))
+        tracemalloc.start()
+        try:
+            train, test = make_binary_task(*splits, class_a=0, class_b=1, train_count=20, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = train.inputs.nbytes + test.inputs.nbytes
+        assert peak < 1.5 * kept, (peak, kept)
+
     def test_equal_classes_rejected(self, synthetic_split_dir):
         splits = load_standard_split(synthetic_split_dir)
         with pytest.raises(ValueError, match="must differ"):
@@ -228,7 +259,7 @@ class TestSyntheticTask:
         # a linear probe trained on the data reaches full accuracy, which
         # only happens when the generated classes are in fact separable
         data = synthetic_task(3, 60, seed=11)
-        model = MlpModel.init_gaussian(3, 4, 1, rng_from_seed(12))
+        model = Model.init_gaussian(3, 4, 1, rng_from_seed(12))
         train_mlp(model, data, TrainOptions(steps=60, batch_size=60, lr=0.2, seed=0))
         assert accuracy(model, data) == 1.0
 

@@ -30,7 +30,7 @@ from ebmlp.ebm import (
     state_energies,
     train_ebm,
 )
-from ebmlp.models import EbmModel, GradientSet
+from ebmlp.models import GradientSet, Model
 from ebmlp.samplers import ExactSampler, GibbsSampler, SampleSet, SamplerConfig, SimAnnealSampler
 from ebmlp.training import TrainOptions
 
@@ -99,11 +99,11 @@ def oracle_positive_phase(model, x, y):
 
 class TestEnergy:
     def test_zero_everything(self, make_model):
-        model = EbmModel.zeros(3, 2, 1)
+        model = Model.zeros(3, 2, 1)
         assert energy(model, np.zeros(3), np.zeros(2), np.zeros(1)) == 0.0
 
     def test_bias_only_terms(self):
-        model = EbmModel(np.zeros((2, 3)), np.zeros((1, 2)), np.array([0.3, -0.2]), np.array([0.7]))
+        model = Model(np.zeros((2, 3)), np.zeros((1, 2)), np.array([0.3, -0.2]), np.array([0.7]))
         e = energy(model, np.ones(3), np.array([1.0, 1.0]), np.array([1.0]))
         assert math.isclose(e, 0.3 - 0.2 + 0.7, rel_tol=1e-15)
 
@@ -155,7 +155,7 @@ class TestEnumeration:
 
 class TestExactConditional:
     def test_uniform_at_zero_model(self):
-        model = EbmModel.zeros(3, 2, 2)
+        model = Model.zeros(3, 2, 2)
         cond = exact_conditional(model, np.zeros(3))
         np.testing.assert_allclose(cond.probs, 1.0 / 16.0, atol=1e-15)
 
@@ -176,7 +176,7 @@ class TestExactConditional:
 
     def test_output_bias_marginal(self):
         # c = [10] with no couplings: P(y=1|x) = sigmoid(10)
-        model = EbmModel(np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(2), np.array([10.0]))
+        model = Model(np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(2), np.array([10.0]))
         _, probs = exact_conditional(model, np.zeros(3)).y_marginal()
         assert math.isclose(float(probs[1]), 0.9999546021312976, rel_tol=1e-14)
 
@@ -199,7 +199,7 @@ class TestExactConditional:
 
 class TestConditionalLikelihood:
     def test_zero_model_is_uniform(self):
-        model = EbmModel.zeros(3, 2, 2)
+        model = Model.zeros(3, 2, 2)
         ll = conditional_log_likelihood(model, np.zeros(3), np.array([1.0, 0.0]))
         assert math.isclose(ll, math.log(0.25), rel_tol=1e-14)
 
@@ -222,7 +222,7 @@ class TestConditionalLikelihood:
     def test_large_hidden_width_still_exact(self):
         # closed form marginalizes K=30 hidden units without enumerating them
         rng = rng_from_seed(22)
-        model = EbmModel(
+        model = Model(
             rng.normal(0, 0.1, (30, 4)),
             rng.normal(0, 0.1, (1, 30)),
             rng.normal(0, 0.1, 30),
@@ -242,7 +242,7 @@ class TestConditionalLikelihood:
             assert int(pi[0]) == int(np.argmax(logp))
 
     def test_predict_tie_breaks_low(self):
-        model = EbmModel.zeros(2, 2, 1)
+        model = Model.zeros(2, 2, 1)
         assert int(predict(model, np.zeros(2))[0, 0]) == 0
 
     def test_mean_log_likelihood(self, make_model):
@@ -259,7 +259,7 @@ class TestConditionalLikelihood:
 
 class TestPhases:
     def test_positive_zero_model_hand_values(self):
-        model = EbmModel.zeros(2, 2, 1)
+        model = Model.zeros(2, 2, 1)
         x = np.array([[0.2, 0.8], [0.4, 0.6]])
         y = np.array([[1.0], [0.0]])
         g = positive_phase(model, (x, y))
@@ -296,7 +296,7 @@ class TestPhases:
 
     def test_phases_cancel_on_balanced_batch_at_zero(self):
         # at zero parameters with equal label counts, every gradient block vanishes
-        model = EbmModel.zeros(3, 2, 1)
+        model = Model.zeros(3, 2, 1)
         rng = rng_from_seed(31)
         x = rng.random((6, 3))
         y = np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [0.0]])
@@ -305,7 +305,7 @@ class TestPhases:
 
     def test_w1_block_cancels_at_zero_any_batch(self):
         # hidden statistics are label-independent at zero parameters
-        model = EbmModel.zeros(3, 2, 1)
+        model = Model.zeros(3, 2, 1)
         rng = rng_from_seed(32)
         x = rng.random((5, 3))
         y = np.ones((5, 1))
@@ -429,7 +429,7 @@ class TestTrainEbm:
         finals = []
         for _ in range(2):
             rng = rng_from_seed(73)
-            model = EbmModel.init_gaussian(3, 2, 1, rng)
+            model = Model.init_gaussian(3, 2, 1, rng)
             trace = train_ebm(model, data, None, TrainOptions(steps=5, batch_size=5, lr=0.1, seed=4), test_set=data)
             traces.append((trace.steps, trace.train_loss, trace.ebm_loglik, trace.test_accuracy))
             finals.append({k: v.copy() for k, v in model.params().items()})
@@ -437,10 +437,23 @@ class TestTrainEbm:
         for name in finals[0]:
             np.testing.assert_array_equal(finals[0][name], finals[1][name])
 
+    def test_sampler_seed_sets_the_draws(self):
+        # SamplerConfig.seed is the only sampler seed: runs that differ in
+        # nothing else draw different negative phases
+        data = synthetic_task(3, 20, seed=77)
+        logliks = []
+        for seed in (1, 1, 2):
+            model = Model.init_gaussian(3, 2, 1, rng_from_seed(78))
+            sampler = GibbsSampler(SamplerConfig(reads=20, burn_in=5, seed=seed))
+            trace = train_ebm(model, data, sampler, TrainOptions(steps=3, batch_size=5, lr=0.1, seed=4))
+            logliks.append(trace.ebm_loglik)
+        assert logliks[0] == logliks[1]
+        assert logliks[0] != logliks[2]
+
     def test_loglik_improves_and_weights_stay_small(self):
         data = synthetic_task(3, 20, seed=74)
         rng = rng_from_seed(75)
-        model = EbmModel.init_gaussian(3, 4, 1, rng)
+        model = Model.init_gaussian(3, 4, 1, rng)
         trace = train_ebm(model, data, None, TrainOptions(steps=20, batch_size=5, lr=0.1, seed=5), test_set=data)
         assert trace.ebm_loglik[-1] > trace.ebm_loglik[0]
         # ADAM moves each weight by at most ~lr per step
@@ -448,7 +461,7 @@ class TestTrainEbm:
 
     def test_trace_row_zero_is_pretraining(self):
         data = synthetic_task(2, 10, seed=76)
-        model = EbmModel.zeros(2, 2, 1)
+        model = Model.zeros(2, 2, 1)
         trace = train_ebm(model, data, None, TrainOptions(steps=2, batch_size=5, lr=0.1, seed=6), test_set=data)
         assert trace.steps[0] == 0
         assert math.isclose(trace.ebm_loglik[0], math.log(0.5), rel_tol=1e-12)

@@ -1,4 +1,4 @@
-"""Weight transfer, output-distribution divergence, and the first-order
+"""Weight copies, output-distribution divergence, and the first-order
 agreement between the feedforward and energy-based readings of one
 parameter set."""
 
@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from ebmlp.core import derive_seed, rng_from_seed
+from ebmlp.core import rng_from_seed
 from ebmlp.data import synthetic_task
 from ebmlp.ebm import log_conditional_y, train_ebm
 from ebmlp.equivalence import (
@@ -18,11 +18,10 @@ from ebmlp.equivalence import (
     EquivalenceReport,
     run_equivalence_experiment,
     symmetrized_kl,
-    transfer_weights,
 )
 from ebmlp.mlp import forward, train_mlp
-from ebmlp.models import EbmModel, MlpModel
-from ebmlp.samplers import ExactSampler, GibbsSampler, SamplerConfig
+from ebmlp.models import Model, initial_model
+from ebmlp.samplers import ExactSampler, GibbsSampler, SamplerConfig, sampler_seed
 from ebmlp.training import TrainOptions
 
 
@@ -33,20 +32,17 @@ def ebm_output_probability(model, x):
 
 
 class TestTransfer:
+    # moving weights from one reading to the other is Model.copy()
     def test_involution_bitwise(self, make_model):
-        model = make_model(kind="mlp", n=4, k=3, m=2, seed=1)
-        back = transfer_weights(transfer_weights(model))
-        assert isinstance(back, MlpModel)
+        model = make_model(n=4, k=3, m=2, seed=1)
+        back = model.copy().copy()
+        assert isinstance(back, Model)
         for a, b in zip(back.params().values(), model.params().values()):
             np.testing.assert_array_equal(a, b)
 
-    def test_kind_flips(self, make_model):
-        assert isinstance(transfer_weights(make_model(kind="mlp")), EbmModel)
-        assert isinstance(transfer_weights(make_model(kind="ebm")), MlpModel)
-
     def test_copies_are_independent(self, make_model):
-        model = make_model(kind="mlp")
-        moved = transfer_weights(model)
+        model = make_model()
+        moved = model.copy()
         moved.w1[0, 0] += 1.0
         assert model.w1[0, 0] != moved.w1[0, 0]
 
@@ -101,12 +97,11 @@ class TestFirstOrderAgreement:
         scales = (0.02, 0.01, 0.005)
         gaps = []
         for s in scales:
-            mlp_model = MlpModel(s * w1, s * w2, s * b, s * c)
-            ebm_model = transfer_weights(mlp_model)
+            model = Model(s * w1, s * w2, s * b, s * c)
             gap = 0.0
             for x in xs:
-                zf = float(forward(mlp_model, x)[0])
-                zg = ebm_output_probability(ebm_model, x)
+                zf = float(forward(model, x)[0])
+                zg = ebm_output_probability(model, x)
                 gap = max(gap, abs(zf - zg))
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -117,12 +112,10 @@ class TestFirstOrderAgreement:
         assert 3.0 < gaps[1] / gaps[2] < 5.5
 
     def test_readings_identical_at_zero_weights(self):
-        model = MlpModel.zeros(3, 4, 1)
+        model = Model.zeros(3, 4, 1)
         x = rng_from_seed(5).random(3)
         assert math.isclose(float(forward(model, x)[0]), 0.5, abs_tol=1e-15)
-        assert math.isclose(
-            ebm_output_probability(transfer_weights(model), x), 0.5, abs_tol=1e-15
-        )
+        assert math.isclose(ebm_output_probability(model, x), 0.5, abs_tol=1e-15)
 
 
 class TestEquivalenceReport:
@@ -184,10 +177,10 @@ class TestRunExperiment:
         options = TrainOptions(steps=4, batch_size=4, lr=0.1, seed=seed)
         report = run_equivalence_experiment(train, test, n_hidden=2, options=options)
 
-        mlp_model = MlpModel.init_gaussian(3, 2, 1, rng_from_seed([seed, 0x1B17]), std=0.01)
-        ebm_model = transfer_weights(mlp_model)
+        mlp_model = initial_model(seed, 3, 2, 0.01)
+        ebm_model = mlp_model.copy()
         trace = train_mlp(mlp_model, train, options, test)
-        sampler = GibbsSampler(SamplerConfig(seed=derive_seed(seed, 0x5EED)))
+        sampler = GibbsSampler(SamplerConfig(seed=sampler_seed(seed)))
         ebm_trace = train_ebm(ebm_model, train, sampler, options, test)
         assert report.mlp_loss == trace.train_loss
         assert report.acc_mlp == trace.test_accuracy

@@ -15,7 +15,6 @@ from ebmlp.experiments import (
     RunConfig,
     TrialSummary,
     bench_runtime,
-    initial_models,
     monotone_components,
     run_equivalence,
     run_track,
@@ -26,7 +25,7 @@ from ebmlp.experiments import (
     write_bench_csv,
     write_bqm_dump,
 )
-from ebmlp.models import EbmModel
+from ebmlp.models import Model, initial_model
 from ebmlp.training import read_trace_csv
 
 
@@ -66,6 +65,16 @@ class TestRunConfig:
             RunConfig(lr=0.0)
         with pytest.raises(ValueError, match="sizes"):
             RunConfig(sizes=(10, 0))
+
+    def test_sampler_and_training_rules_apply_at_construction(self):
+        with pytest.raises(ValueError, match="reads"):
+            RunConfig(track="classical2", reads=0)
+        with pytest.raises(ValueError, match="anneal_schedule"):
+            RunConfig(anneal_schedule="cubic")
+        with pytest.raises(ValueError, match="batch_size"):
+            RunConfig(batch_size=0)
+        with pytest.raises(ValueError, match="steps"):
+            RunConfig(steps=-1)
 
     def test_sampler_and_train_options(self):
         config = RunConfig(beta_eff=8.0, reads=77, burn_in=5, steps=3, batch_size=2, lr=0.2)
@@ -141,21 +150,28 @@ class TestSuccessMetrics:
 
 
 class TestInitialModels:
-    def test_shared_across_tracks_per_seed(self, small_config):
-        config = small_config()
-        a_mlp, a_ebm = initial_models(config, 7, 36)
-        b_mlp, b_ebm = initial_models(config, 7, 36)
-        np.testing.assert_array_equal(a_mlp.w1, b_mlp.w1)
-        np.testing.assert_array_equal(a_mlp.w1, a_ebm.w1)
-        np.testing.assert_array_equal(a_mlp.w2, a_ebm.w2)
-        c_mlp, _ = initial_models(config, 8, 36)
-        assert not np.array_equal(a_mlp.w1, c_mlp.w1)
+    def test_shared_across_tracks_per_seed(self, small_config, synthetic_split_dir):
+        # every track trains the seed's one initial model, whatever reading
+        # it trains by
+        splits = load_standard_split(synthetic_split_dir)
+        train, test = make_binary_task(*splits, class_a=0, class_b=1, train_count=12, seed=0)
+        a = initial_model(7, 36, 3, 0.01)
+        b = initial_model(7, 36, 3, 0.01)
+        for name, value in a.params().items():
+            np.testing.assert_array_equal(value, b.params()[name])
+        assert not np.array_equal(a.w1, initial_model(8, 36, 3, 0.01).w1)
+        starts = {}
+        for track in ("classical1", "classical2", "quantum-sim"):
+            config = small_config(track=track, steps=0, seed=7)
+            trace, _ = run_trial(config, 0, train, test)
+            starts[track] = (trace.train_loss[0], trace.ebm_loglik[0], trace.test_accuracy[0])
+        assert len(set(starts.values())) == 1
 
-    def test_biases_zero_weights_scaled(self, small_config):
-        config = small_config(init_std=0.5)
-        mlp_model, _ = initial_models(config, 1, 36)
-        assert not np.any(mlp_model.b) and not np.any(mlp_model.c)
-        assert float(np.std(mlp_model.w1)) > 0.1
+    def test_biases_zero_weights_scaled(self):
+        model = initial_model(1, 36, 3, 0.5)
+        assert model.n_visible == 36 and model.n_hidden == 3 and model.n_outputs == 1
+        assert not np.any(model.b) and not np.any(model.c)
+        assert float(np.std(model.w1)) > 0.1
 
 
 class TestRunTrial:
@@ -270,7 +286,7 @@ class TestBqmDump:
         assert text.count("\n3 ") == 3
 
     def test_clip_count_reported(self, tmp_path):
-        model = EbmModel(np.zeros((1, 2)), np.zeros((1, 1)), np.array([100.0]), np.zeros(1))
+        model = Model(np.zeros((1, 2)), np.zeros((1, 1)), np.array([100.0]), np.zeros(1))
         path = tmp_path / "dump.txt"
         write_bqm_dump(model, np.zeros(2), 1.0, path)
         assert "1 coefficients clipped" in path.read_text()

@@ -16,19 +16,19 @@ from ebmlp.mlp import (
     predict,
     train_mlp,
 )
-from ebmlp.models import MlpModel
+from ebmlp.models import Model
 from ebmlp.training import TrainOptions
 
 
 class TestForward:
     def test_zero_model_outputs_half(self):
-        model = MlpModel.zeros(3, 2, 2)
+        model = Model.zeros(3, 2, 2)
         np.testing.assert_allclose(forward(model, np.zeros(3)), 0.5, atol=1e-15)
         np.testing.assert_allclose(forward(model, np.ones(3)), 0.5, atol=1e-15)
 
     def test_hand_composition(self):
         # W1 x + b = ln 3 gives h = 0.75; 2 * 0.75 - 1.5 = 0 gives z = 0.5
-        model = MlpModel(
+        model = Model(
             np.array([[math.log(3.0)]]), np.array([[2.0]]), np.zeros(1), np.array([-1.5])
         )
         z, h = forward(model, np.array([1.0]), return_hidden=True)
@@ -36,26 +36,26 @@ class TestForward:
         assert math.isclose(float(z[0]), 0.5, rel_tol=1e-14)
 
     def test_batch_matches_single(self, make_model):
-        model = make_model(kind="mlp", n=4, k=3, m=2, seed=1)
+        model = make_model(n=4, k=3, m=2, seed=1)
         xs = rng_from_seed(2).random((5, 4))
         batch = forward(model, xs)
         for xi, row in zip(xs, batch):
             np.testing.assert_allclose(forward(model, xi), row, atol=1e-15)
 
     def test_outputs_strictly_inside_unit_interval(self, make_model):
-        model = make_model(kind="mlp", n=3, k=2, m=1, seed=3, std=5.0)
+        model = make_model(n=3, k=2, m=1, seed=3, std=5.0)
         z = forward(model, rng_from_seed(4).random((20, 3)))
         assert np.all(z > 0.0) and np.all(z < 1.0)
 
     def test_feature_mismatch_rejected(self, make_model):
-        model = make_model(kind="mlp", n=3)
+        model = make_model(n=3)
         with pytest.raises(ValueError, match="features"):
             forward(model, np.zeros(5))
 
     def test_dead_hidden_unit_is_inert(self, make_model):
         # appending a hidden unit with zero weights must not move the output
-        model = make_model(kind="mlp", n=3, k=2, m=1, seed=5)
-        wider = MlpModel(
+        model = make_model(n=3, k=2, m=1, seed=5)
+        wider = Model(
             np.vstack([model.w1, np.zeros((1, 3))]),
             np.hstack([model.w2, np.full((1, 1), 7.0)]),
             np.concatenate([model.b, [-50.0]]),
@@ -90,7 +90,7 @@ class TestCrossEntropy:
             cross_entropy(np.zeros(2), np.zeros(3))
 
     def test_mean_cross_entropy_consistent(self, make_model):
-        model = make_model(kind="mlp", n=3, k=2, m=1, seed=7)
+        model = make_model(n=3, k=2, m=1, seed=7)
         xs = rng_from_seed(8).random((6, 3))
         labels = (rng_from_seed(9).random((6, 1)) < 0.5).astype(float)
         direct = cross_entropy(labels, np.atleast_2d(forward(model, xs)))
@@ -100,7 +100,7 @@ class TestCrossEntropy:
 class TestBackprop:
     def test_zero_model_single_example_hand_value(self):
         # z = 0.5, h = 0.5, y = 1: d = -0.5, dW2 = d * h = -0.25, dc = -0.5
-        model = MlpModel.zeros(2, 3, 1)
+        model = Model.zeros(2, 3, 1)
         g = grad_backprop(model, (np.array([[0.4, 0.6]]), np.array([[1.0]])))
         np.testing.assert_allclose(g.dw2, -0.25, atol=1e-15)
         np.testing.assert_allclose(g.dc, -0.5, atol=1e-15)
@@ -109,14 +109,14 @@ class TestBackprop:
         assert float(np.max(np.abs(g.db))) == 0.0
 
     def test_saturated_correct_outputs_give_tiny_gradient(self):
-        model = MlpModel(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros(1), np.array([50.0]))
+        model = Model(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros(1), np.array([50.0]))
         g = grad_backprop(model, (np.array([[0.1, 0.9]]), np.array([[1.0]])))
         assert g.max_abs() < 1e-15
 
     def test_matches_finite_differences(self, make_model):
         h = 1e-5
         for seed in range(10):
-            model = make_model(kind="mlp", n=4, k=3, m=2, seed=100 + seed)
+            model = make_model(n=4, k=3, m=2, seed=100 + seed)
             rng = rng_from_seed(200 + seed)
             x = rng.random((3, 4))
             y = (rng.random((3, 2)) < 0.5).astype(float)
@@ -137,7 +137,7 @@ class TestBackprop:
     def test_small_descent_steps_reduce_loss(self, make_model):
         # the gradient is a descent direction: plain GD with a small step
         # must decrease the loss at every iteration
-        model = make_model(kind="mlp", n=3, k=2, m=1, seed=300)
+        model = make_model(n=3, k=2, m=1, seed=300)
         rng = rng_from_seed(301)
         x = rng.random((8, 3))
         y = (rng.random((8, 1)) < 0.5).astype(float)
@@ -154,14 +154,14 @@ class TestBackprop:
 
 class TestPredict:
     def test_threshold_and_tie(self):
-        model = MlpModel.zeros(2, 2, 1)
+        model = Model.zeros(2, 2, 1)
         # forward is exactly 0.5: not strictly greater, so class 0
         assert int(predict(model, np.zeros(2))[0, 0]) == 0
-        lean = MlpModel(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(2), np.array([0.1]))
+        lean = Model(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(2), np.array([0.1]))
         assert int(predict(lean, np.zeros(2))[0, 0]) == 1
 
     def test_zero_model_accuracy_on_balanced_set(self):
-        model = MlpModel.zeros(2, 2, 1)
+        model = Model.zeros(2, 2, 1)
         data = synthetic_task(2, 30, seed=10)
         frac0 = float(np.mean(data.labels == 0))
         assert math.isclose(accuracy(model, data), frac0, rel_tol=1e-12)
@@ -169,7 +169,7 @@ class TestPredict:
 
 class TestTrainMlp:
     def test_zero_lr_leaves_params(self, make_model):
-        model = make_model(kind="mlp", n=2, k=2, m=1, seed=11)
+        model = make_model(n=2, k=2, m=1, seed=11)
         before = {k: v.copy() for k, v in model.params().items()}
         data = synthetic_task(2, 10, seed=12)
         train_mlp(model, data, TrainOptions(steps=3, batch_size=5, lr=0.0, seed=0))
@@ -180,7 +180,7 @@ class TestTrainMlp:
         data = synthetic_task(3, 20, seed=13)
         results = []
         for _ in range(2):
-            model = MlpModel.init_gaussian(3, 2, 1, rng_from_seed(14))
+            model = Model.init_gaussian(3, 2, 1, rng_from_seed(14))
             trace = train_mlp(model, data, TrainOptions(steps=5, batch_size=5, lr=0.1, seed=4), test_set=data)
             results.append(
                 (tuple(trace.train_loss), {k: v.copy() for k, v in model.params().items()})
@@ -193,13 +193,13 @@ class TestTrainMlp:
         # 2 inputs, 40 samples, full-batch updates: the task is separable
         # with a margin, so training should fit it completely
         data = synthetic_task(2, 40, seed=15)
-        model = MlpModel.init_gaussian(2, 4, 1, rng_from_seed(16))
+        model = Model.init_gaussian(2, 4, 1, rng_from_seed(16))
         train_mlp(model, data, TrainOptions(steps=50, batch_size=40, lr=0.1, seed=5))
         assert accuracy(model, data) == 1.0
 
     def test_trace_layout(self):
         data = synthetic_task(2, 10, seed=17)
-        model = MlpModel.zeros(2, 2, 1)
+        model = Model.zeros(2, 2, 1)
         trace = train_mlp(model, data, TrainOptions(steps=2, batch_size=5, lr=0.1, seed=6), test_set=data)
         assert trace.steps == [0, 1, 2]
         assert math.isclose(trace.train_loss[0], math.log(2.0), rel_tol=1e-12)

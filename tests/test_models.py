@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+import ebmlp.models as models
 from ebmlp.core import rng_from_seed
 from ebmlp.models import (
     MODEL_MAGIC,
-    EbmModel,
     GradientSet,
-    MlpModel,
+    Model,
     load_model,
     model_from_bytes,
     model_to_bytes,
@@ -25,19 +25,19 @@ class TestValidation:
 
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ValueError, match="inconsistent shapes"):
-            EbmModel(np.zeros((2, 3)), np.zeros((1, 4)), np.zeros(2), np.zeros(1))
+            Model(np.zeros((2, 3)), np.zeros((1, 4)), np.zeros(2), np.zeros(1))
         with pytest.raises(ValueError, match="inconsistent shapes"):
-            EbmModel(np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(3), np.zeros(1))
+            Model(np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(3), np.zeros(1))
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError, match="2-d"):
-            EbmModel(np.zeros(6), np.zeros((1, 2)), np.zeros(2), np.zeros(1))
+            Model(np.zeros(6), np.zeros((1, 2)), np.zeros(2), np.zeros(1))
 
     def test_non_finite_rejected(self):
         w1 = np.zeros((2, 3))
         w1[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            EbmModel(w1, np.zeros((1, 2)), np.zeros(2), np.zeros(1))
+            Model(w1, np.zeros((1, 2)), np.zeros(2), np.zeros(1))
 
     def test_params_roundtrip(self, make_model):
         model = make_model()
@@ -55,27 +55,31 @@ class TestValidation:
 
 class TestInit:
     def test_zeros(self):
-        model = MlpModel.zeros(5, 3, 2)
+        model = Model.zeros(5, 3, 2)
         for a in model.params().values():
             assert not np.any(a)
 
     def test_gaussian_statistics(self):
         rng = rng_from_seed(0)
-        model = EbmModel.init_gaussian(200, 100, 50, rng, std=0.01)
+        model = Model.init_gaussian(200, 100, 50, rng, std=0.01)
         flat = np.concatenate([model.w1.ravel(), model.w2.ravel()])
         assert abs(float(np.mean(flat))) < 0.001
         assert abs(float(np.std(flat)) - 0.01) < 0.002
         assert not np.any(model.b) and not np.any(model.c)
 
     def test_gaussian_seeded(self):
-        a = EbmModel.init_gaussian(4, 3, 2, rng_from_seed(9))
-        b = EbmModel.init_gaussian(4, 3, 2, rng_from_seed(9))
+        a = Model.init_gaussian(4, 3, 2, rng_from_seed(9))
+        b = Model.init_gaussian(4, 3, 2, rng_from_seed(9))
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.w2, b.w2)
 
+    def test_old_names_build_a_model(self):
+        model = models.EbmModel(np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(2), np.zeros(1))
+        assert type(model) is Model and models.MlpModel is Model
+
     def test_fanin_uniform_bounds(self):
         rng = rng_from_seed(1)
-        model = MlpModel.init_fanin_uniform(16, 4, 2, rng)
+        model = Model.init_fanin_uniform(16, 4, 2, rng)
         assert float(np.max(np.abs(model.w1))) <= 1.0 / 4.0
         assert float(np.max(np.abs(model.w2))) <= 0.5
         assert np.any(model.b) and np.any(model.c)
@@ -106,29 +110,22 @@ class TestGradientSet:
 
 class TestSerialization:
     def test_roundtrip_bitwise(self, make_model):
-        model = make_model(kind="mlp", n=5, k=4, m=3, seed=11)
+        model = make_model(n=5, k=4, m=3, seed=11)
         data = model_to_bytes(model)
-        back = model_from_bytes(data, kind="mlp")
-        assert isinstance(back, MlpModel)
+        back = model_from_bytes(data)
+        assert isinstance(back, Model)
         for a, b in zip(back.params().values(), model.params().values()):
             np.testing.assert_array_equal(a, b)
         assert model_to_bytes(back) == data
 
     def test_header_layout(self):
-        model = EbmModel.zeros(2, 3, 1)
+        model = Model.zeros(2, 3, 1)
         data = model_to_bytes(model)
         assert data[:8] == MODEL_MAGIC
         assert data[8:20] == (2).to_bytes(4, "little") + (3).to_bytes(4, "little") + (
             1
         ).to_bytes(4, "little")
         assert len(data) == 8 + 12 + 8 * (3 * 2 + 1 * 3 + 3 + 1)
-
-    def test_kind_selects_class(self, make_model):
-        data = model_to_bytes(make_model())
-        assert isinstance(model_from_bytes(data, kind="ebm"), EbmModel)
-        assert isinstance(model_from_bytes(data, kind="mlp"), MlpModel)
-        with pytest.raises(ValueError, match="unknown model kind"):
-            model_from_bytes(data, kind="rnn")
 
     def test_bad_magic_rejected(self, make_model):
         data = b"XXXXXXXX" + model_to_bytes(make_model())[8:]
@@ -148,6 +145,6 @@ class TestSerialization:
         model = make_model(seed=21)
         path = tmp_path / "model.bin"
         save_model(model, path)
-        back = load_model(path, kind="ebm")
+        back = load_model(path)
         np.testing.assert_array_equal(back.w1, model.w1)
         np.testing.assert_array_equal(back.c, model.c)

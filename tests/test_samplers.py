@@ -17,7 +17,7 @@ from ebmlp._kernels import anneal_block, gibbs_block, gibbs_chain
 from ebmlp.bqm import IsingModel
 from ebmlp.core import rng_from_seed, sigmoid
 from ebmlp.ebm import exact_conditional
-from ebmlp.models import EbmModel
+from ebmlp.models import Model
 from ebmlp.samplers import (
     ExactSampler,
     GibbsSampler,
@@ -179,7 +179,7 @@ class TestStationarityOracle:
 
     def test_degenerate_no_coupling_factorizes(self):
         # with W2 = 0 the chain mixes in one sweep to independent Bernoullis
-        model = EbmModel(np.zeros((1, 2)), np.zeros((1, 1)), np.array([0.7]), np.array([-0.3]))
+        model = Model(np.zeros((1, 2)), np.zeros((1, 1)), np.array([0.7]), np.array([-0.3]))
         pi = dense_conditional(model, np.zeros(2))
         pk, py = float(sigmoid(0.7)), float(sigmoid(-0.3))
         expected = [
@@ -283,7 +283,7 @@ class TestAnnealKernel:
 @pytest.mark.usefixtures("kernels")
 class TestSamplersAgainstExact:
     def test_zero_model_uniform(self):
-        model = EbmModel.zeros(2, 2, 1)
+        model = Model.zeros(2, 2, 1)
         x = np.zeros(2)
         uniform = np.full(8, 1.0 / 8.0)
         for name, tol in (("exact", 0.02), ("gibbs", 0.02), ("simanneal", 0.05)):
@@ -351,7 +351,7 @@ class TestSamplerPlumbing:
 
     def test_clip_metadata_on_extreme_weights(self):
         # a huge bias pushes h outside the programmable window
-        model = EbmModel(np.zeros((1, 2)), np.zeros((1, 1)), np.array([200.0]), np.zeros(1))
+        model = Model(np.zeros((1, 2)), np.zeros((1, 1)), np.array([200.0]), np.zeros(1))
         sampler = SimAnnealSampler(SamplerConfig(beta_eff=1.0, reads=10, anneal_sweeps=10, seed=2))
         ss = sampler.sample(model, np.zeros(2))
         assert ss.metadata["clipped_coefficients"] >= 1

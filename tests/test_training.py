@@ -8,7 +8,7 @@ from ebmlp.core import rng_from_seed
 from ebmlp.data import synthetic_task
 from ebmlp.equivalence import REPORT_COLUMNS, EquivalenceReport
 from ebmlp.mlp import backprop_gradient, train_mlp
-from ebmlp.models import MlpModel
+from ebmlp.models import Model
 from ebmlp.training import TrainingTrace, TrainOptions, as_batch_arrays, atomic_open, fit
 
 
@@ -54,7 +54,7 @@ class TestFit:
 
             return gradient
 
-        models = [MlpModel.init_gaussian(3, 2, 1, rng_from_seed(2)) for _ in range(2)]
+        models = [Model.init_gaussian(3, 2, 1, rng_from_seed(2)) for _ in range(2)]
         recorded = []
         options = TrainOptions(steps=6, batch_size=5, lr=0.1, seed=3)
         fit([(models[0], logging_gradient(0)), (models[1], logging_gradient(1))], data, options, recorded.append)
@@ -71,7 +71,7 @@ class TestFit:
     def test_train_mlp_is_fit_with_backprop(self):
         data = synthetic_task(3, 20, seed=4)
         options = TrainOptions(steps=5, batch_size=4, lr=0.1, seed=5)
-        traced = MlpModel.init_gaussian(3, 2, 1, rng_from_seed(6))
+        traced = Model.init_gaussian(3, 2, 1, rng_from_seed(6))
         bare = traced.copy()
         train_mlp(traced, data, options)
         fit([(bare, backprop_gradient)], data, options, lambda step: None)
