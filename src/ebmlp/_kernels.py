@@ -52,6 +52,17 @@ def gibbs_chain(a, w2, c, reads, burn_in, thin, seed):
     return gibbs_block(np.asarray(a)[None], w2, c, reads, burn_in, thin, seed)[0]
 
 
+def _uniform32(bit_generator, out):
+    """Fills float32 ``out`` with uniforms on [0, 1) spaced 2**-24 apart,
+    made as ``Generator.random(dtype=np.float32)`` makes them,
+    (r >> 8) * 2**-24 for successive 32-bit halves r of the raw 64-bit
+    words, at about half its cost: the words come from one call."""
+    flat = out.reshape(-1)
+    words = bit_generator.random_raw((flat.size + 1) // 2).view(np.uint32)[: flat.size]
+    np.right_shift(words, 8, out=words)
+    np.multiply(words, np.float32(2.0**-24), out=flat, dtype=np.float32)
+
+
 def anneal_block(h_rows, coupling, betas, reads, seed):
     """Independent Metropolis anneals of a bipartite Ising model, for many
     clamped points in one call.
@@ -61,15 +72,21 @@ def anneal_block(h_rows, coupling, betas, reads, seed):
     of the strictly upper-triangular J, shared by every point; there is no
     coupling within a layer. Each read starts from uniform random spins.
     Per inverse temperature in ``betas`` one sweep makes a Metropolis
-    decision for every hidden spin at once, then for every output spin
-    (flip cost dE = 2 s_i lam_i, accepted when nonpositive or with
-    probability exp(-beta * dE)). Within a layer the local fields lam_i do
-    not depend on each other, so this is the hidden-first single-site scan
-    in distribution. Returns (points, reads, K+M) uint8 bits under
-    q = (s + 1) / 2.
+    decision for every hidden spin at once, then for every output spin:
+    with flip cost dE = 2 s_i lam_i, spin i flips when
+    u < exp(-max(beta * dE, 0)) for a fresh uniform u. Within a layer the
+    local fields lam_i do not depend on each other, so this is the
+    hidden-first single-site scan in distribution. Returns
+    (points, reads, K+M) uint8 bits under q = (s + 1) / 2.
+
+    Spins, fields, couplings and acceptance probabilities are float32 and
+    the uniforms u are multiples of 2**-24, so a flip happens with its
+    Metropolis probability up to float32 rounding: within about 2**-24,
+    from the rounding of dE and exp and the spacing of u. Downhill flips
+    (probability 1) are exact.
     """
-    h_rows = np.ascontiguousarray(np.atleast_2d(h_rows), dtype=np.float64)
-    coupling = np.ascontiguousarray(coupling, dtype=np.float64)
+    h_rows = np.ascontiguousarray(np.atleast_2d(h_rows), dtype=np.float32)
+    coupling = np.ascontiguousarray(coupling, dtype=np.float32)
     betas = np.ascontiguousarray(betas, dtype=np.float64)
     kk, mm = coupling.shape
     if h_rows.shape[1] != kk + mm:
@@ -78,14 +95,29 @@ def anneal_block(h_rows, coupling, betas, reads, seed):
         raise ValueError("reads must be >= 1")
     rng = np.random.default_rng(int(seed))
     n_points = h_rows.shape[0]
-    s = np.where(rng.random((n_points, reads, kk + mm)) < 0.5, 1.0, -1.0)
+    s = np.where(rng.random((n_points, reads, kk + mm), dtype=np.float32) < 0.5, np.float32(1.0), np.float32(-1.0))
     s_k, s_y = np.ascontiguousarray(s[..., :kk]), np.ascontiguousarray(s[..., kk:])
-    h_k, h_y = h_rows[:, None, :kk], h_rows[:, None, kk:]
-    # Metropolis accepts with probability min(1, exp(-beta dE)), which is
-    # the event beta dE <= e for a standard exponential draw e = -log(u).
+    # Per layer: its spins, its fields, the other layer's spins as one
+    # (points * reads, n) matrix for a single gemm with the coupling from
+    # them, and the buffers of one update.
+    layers = []
+    for spins, h, other, w in ((s_k, h_rows[:, None, :kk], s_y, coupling.T), (s_y, h_rows[:, None, kk:], s_k, coupling)):
+        buffers = np.empty_like(spins), np.empty_like(spins), np.empty(spins.shape, bool)
+        layers.append((spins, h, other.reshape(n_points * reads, other.shape[2]), w, *buffers))
     for beta in betas:
-        cost = (2.0 * beta) * s_k * (h_k + s_y @ coupling.T)
-        np.negative(s_k, out=s_k, where=cost <= rng.standard_exponential(s_k.shape))
-        cost = (2.0 * beta) * s_y * (h_y + s_k @ coupling)
-        np.negative(s_y, out=s_y, where=cost <= rng.standard_exponential(s_y.shape))
+        scale = np.float32(-2.0 * beta)
+        for spins, h, other, w, accept, u, flip in layers:
+            # accept = exp(min(-beta dE, 0)) with -beta dE =
+            # -2 beta s (h + J s_other); the cap at 0 keeps exp from overflowing
+            np.dot(other, w * scale, out=accept.reshape(n_points * reads, accept.shape[2]))
+            accept += h * scale
+            accept *= spins
+            np.minimum(accept, 0.0, out=accept)
+            np.exp(accept, out=accept)
+            _uniform32(rng.bit_generator, u)
+            np.less(u, accept, out=flip)
+            # a flip negates a spin: toggle the float32 sign bit, no mask
+            sign = u.view(np.uint32)
+            np.left_shift(flip.view(np.uint8), 31, out=sign, dtype=np.uint32)
+            np.bitwise_xor(spins.view(np.uint32), sign, out=spins.view(np.uint32))
     return np.concatenate((s_k > 0.0, s_y > 0.0), axis=2).astype(np.uint8)

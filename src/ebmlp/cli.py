@@ -166,12 +166,12 @@ def _cmd_bench(args):
 
 def _cmd_summarize(args):
     directory = Path(args.directory)
-    traces = sorted(directory.glob("trace_*.csv"))
+    traces = sorted((int(p.stem.split("_")[1]), p) for p in directory.glob("trace_*.csv"))
     if not traces:
         raise FileNotFoundError(f"no trace_*.csv files in {directory}")
     summaries = [
-        TrialSummary.from_accuracies(int(p.stem.split("_")[1]), _seed_from_comment(p), read_trace_csv(p).test_accuracy)
-        for p in traces
+        TrialSummary.from_accuracies(trial, _seed_from_comment(p), read_trace_csv(p).test_accuracy)
+        for trial, p in traces
     ]
     aggregate = summarize_trials(summaries)
     print(

@@ -14,6 +14,7 @@ from ebmlp.cli import (
     main,
     read_config_file,
 )
+from ebmlp.training import TrainingTrace
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +264,18 @@ class TestSummarizeCommand:
         payload = json.loads("\n".join(out))
         assert payload["aggregate"] == summary["aggregate"]
         assert payload["aggregate"]["n_trials"] == 1
+
+    def test_trials_listed_in_numeric_order(self, capsys, tmp_path):
+        for trial in range(12):
+            trace = TrainingTrace(seed=100 + trial)
+            trace.append(0, 0.7, -0.7, 0.5)
+            trace.append(1, 0.6, -0.6, 0.8)
+            trace.to_csv(tmp_path / f"trace_{trial}.csv", header_comment=f"track=classical1 trial={trial} seed={100 + trial}")
+        code, out, err = run_cli(capsys, "summarize", str(tmp_path))
+        assert code == 0 and not err
+        trials = json.loads("\n".join(out))["trials"]
+        assert [t["trial"] for t in trials] == list(range(12))
+        assert [t["seed"] for t in trials] == [100 + t for t in range(12)]
 
     def test_empty_directory_is_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "summarize", str(tmp_path))

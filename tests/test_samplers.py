@@ -8,6 +8,7 @@ point, independent of any sampling noise.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,32 @@ class TestAnnealKernel:
         for p in range(3):
             ss = SampleSet.from_reads(raw[p], n_hidden=2)
             assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, xs[p])) < 0.05
+
+    def test_one_sweep_follows_the_metropolis_rule(self):
+        # zero coupling and one sweep at a fixed beta; the same seed with no
+        # sweeps gives the starting spins. A spin aligned with its field
+        # (uphill) flips with probability exp(-2 beta |h|), an anti-aligned
+        # one (downhill) always flips.
+        beta, reads = 0.5, 100_000
+        h_rows = np.array([[0.1, -0.4, 0.8, -1.5, 3.0], [-0.2, 0.6, -1.0, 2.0, -0.05]])
+        coupling = np.zeros((4, 1))
+        start = anneal_block(h_rows, coupling, [], reads, 3).astype(bool)
+        end = anneal_block(h_rows, coupling, [beta], reads, 3).astype(bool)
+        flipped = start != end
+        uphill = start == (h_rows[:, None, :] > 0)
+        for p, i in itertools.product(range(2), range(5)):
+            assert flipped[p, ~uphill[p, :, i], i].all()
+            up = flipped[p, uphill[p, :, i], i]
+            rate = math.exp(-2.0 * beta * abs(h_rows[p, i]))
+            sigma = math.sqrt(rate * (1.0 - rate) / up.size)
+            assert abs(float(up.mean()) - rate) <= 5.0 * sigma, (p, i, float(up.mean()), rate)
+
+    def test_strong_fields_give_no_numeric_warning(self):
+        h_rows = np.array([[1e3, -1e3, 1e3], [-1e3, 1e3, -1e3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = anneal_block(h_rows, np.array([[0.5], [-0.5]]), [16.0], 500, 7)
+        np.testing.assert_array_equal(raw, np.broadcast_to(h_rows[:, None, :] > 0, raw.shape))
 
     def test_column_count_checked(self):
         with pytest.raises(ValueError, match="columns"):
