@@ -18,8 +18,9 @@ import numpy as np
 
 # adam_update stays bound only because perfbench/selftest.py checks that it is traced here
 from .core import adam_update, derive_seed, logsumexp, sigmoid, softplus  # noqa: F401
+from . import mlp
 from .models import GradientSet
-from .training import as_batch_arrays, fit_traced, TrainOptions
+from .training import as_batch_arrays, fit_traced, label_rows, TrainOptions
 
 # 2^20 joint states is the desk-scale ceiling for exact enumeration.
 ENUMERATION_BOUND = 20
@@ -92,16 +93,17 @@ def exact_conditional(model, x):
     return ConditionalStates(states, probs / probs.sum(), model.n_hidden)
 
 
-def _y_scores(model, x2d):
-    """Unnormalized log P(y|x) per y pattern, vectorized over rows of x2d.
+def y_scores(model, a):
+    """Unnormalized log P(y|x) per y pattern, one row per row of the
+    pre-activation a = W1 x + b (see :func:`ebmlp.mlp.pre_activation`).
 
     The hidden layer sums out in closed form: log sum_k exp(E) =
     c.y + sum_j softplus((W1 x + b + W2^T y)_j), so only the 2^M output
-    patterns are enumerated and any hidden width is exact.
+    patterns are enumerated and any hidden width is exact. Returns the
+    patterns (LSB-first order) and the (rows, 2^M) scores.
     """
-    a = x2d @ model.w1.T + model.b
     y_states = enumerate_states(model.n_outputs)
-    scores = np.empty((x2d.shape[0], y_states.shape[0]))
+    scores = np.empty((a.shape[0], y_states.shape[0]))
     for p, yp in enumerate(y_states.astype(np.float64)):
         scores[:, p] = yp @ model.c + softplus(a + yp @ model.w2).sum(axis=1)
     return y_states, scores
@@ -114,10 +116,23 @@ def _y_index(y_bits):
     return np.asarray(y_bits, dtype=np.int64) @ weights
 
 
+def most_probable(y_states, scores):
+    """The highest-scoring y pattern per row; ties break to the lower index."""
+    return y_states[np.argmax(scores, axis=1)]
+
+
+def scored_log_likelihood(scores, labels):
+    """Mean exact log P(y|x) of the labels, from the rows of ``scores``."""
+    labels = label_rows(labels, scores.shape[0])
+    logz = logsumexp(scores, axis=1)
+    picked = scores[np.arange(scores.shape[0]), _y_index(labels)]
+    return float(np.mean(picked - logz))
+
+
 def log_conditional_y(model, x):
     """Exact log P(y|x) for every y pattern (matches the y-marginal of
     exact_conditional, tested; works for any hidden width)."""
-    y_states, scores = _y_scores(model, np.asarray(x, dtype=np.float64)[None, :])
+    y_states, scores = y_scores(model, mlp.pre_activation(model, x))
     return y_states, scores[0] - logsumexp(scores[0])
 
 
@@ -132,24 +147,18 @@ def conditional_log_likelihood(model, x, y):
 
 def predict(model, x):
     """Most probable y pattern under P(y|x); ties break to the lower index."""
-    x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y_states, scores = _y_scores(model, x2d)
-    return y_states[np.argmax(scores, axis=1)]
+    return most_probable(*y_scores(model, mlp.pre_activation(model, x)))
 
 
 def accuracy(model, dataset):
     """Exact-match fraction of predict() against dataset labels."""
-    labels = np.asarray(dataset.labels, dtype=np.uint8).reshape(len(dataset), -1)
-    return float(np.mean(np.all(predict(model, dataset.inputs) == labels, axis=1)))
+    return mlp.exact_match(predict(model, dataset.inputs), dataset.labels)
 
 
 def mean_log_likelihood(model, dataset):
     """Dataset mean of the exact conditional log-likelihood."""
-    labels = np.asarray(dataset.labels, dtype=np.float64).reshape(len(dataset), -1)
-    _, scores = _y_scores(model, np.asarray(dataset.inputs, dtype=np.float64))
-    logz = logsumexp(scores, axis=1)
-    picked = scores[np.arange(scores.shape[0]), _y_index(labels)]
-    return float(np.mean(picked - logz))
+    _, scores = y_scores(model, mlp.pre_activation(model, dataset.inputs))
+    return scored_log_likelihood(scores, dataset.labels)
 
 
 def positive_phase(model, batch):
@@ -162,17 +171,17 @@ def positive_phase(model, batch):
     x, y = as_batch_arrays(batch)
     _check_binary(y, "y")
     n = x.shape[0]
-    s = sigmoid(x @ model.w1.T + model.b + y @ model.w2)
+    s = sigmoid(mlp.pre_activation(model, x) + y @ model.w2)
     return GradientSet(s.T @ x / n, y.T @ s / n, s.mean(axis=0), y.mean(axis=0))
 
 
-def _phase_from_y_weights(model, x, weights):
-    """Negative-phase statistics for inputs ``x`` (P, N) when the y of
-    example p follows ``weights[p]`` over the 2^M output patterns in
-    LSB-first order: sigma(W1 x + b + W2^T y) is averaged over y, and the
-    batch means of the four blocks are returned."""
+def _phase_from_y_weights(model, x, a, weights):
+    """Negative-phase statistics for inputs ``x`` (P, N) with pre-activation
+    ``a`` when the y of example p follows ``weights[p]`` over the 2^M output
+    patterns in LSB-first order: sigma(a + W2^T y) is averaged over y, and
+    the batch means of the four blocks are returned."""
     y_states = enumerate_states(model.n_outputs).astype(np.float64)
-    s = sigmoid((x @ model.w1.T + model.b)[:, None, :] + (y_states @ model.w2)[None, :, :])
+    s = sigmoid(a[:, None, :] + (y_states @ model.w2)[None, :, :])
     ws = weights[:, :, None] * s
     s_bar = ws.sum(axis=1)
     n = x.shape[0]
@@ -184,8 +193,9 @@ def exact_negative_phase(model, batch):
     """Closed-form negative phase: y is marginalized exactly over P(y|x)
     (enumeration over output patterns only, so any hidden width works)."""
     x, _ = as_batch_arrays(batch)
-    _, scores = _y_scores(model, x)
-    return _phase_from_y_weights(model, x, np.exp(scores - logsumexp(scores, axis=1)[:, None]))
+    a = mlp.pre_activation(model, x)
+    _, scores = y_scores(model, a)
+    return _phase_from_y_weights(model, x, a, np.exp(scores - logsumexp(scores, axis=1)[:, None]))
 
 
 def negative_phase(model, batch, sampler, base_seed=None, use_sampled_hidden=False):
@@ -216,7 +226,7 @@ def negative_phase(model, batch, sampler, base_seed=None, use_sampled_hidden=Fal
     n_patterns = 2**model.n_outputs
     index = _y_index(raw[:, :, kk:]) + n_patterns * np.arange(n)[:, None]
     counts = np.bincount(index.ravel(), minlength=n * n_patterns).reshape(n, n_patterns)
-    return _phase_from_y_weights(model, x, counts / n_reads)
+    return _phase_from_y_weights(model, x, mlp.pre_activation(model, x), counts / n_reads)
 
 
 def grad_conditional_ll(model, batch, sampler=None, base_seed=None, use_sampled_hidden=False):

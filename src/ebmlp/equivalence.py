@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import initial_model
-from .training import atomic_open, fit, TrainOptions
+from .training import atomic_open, fit, label_rows, TrainOptions
 from . import ebm, mlp
 from .samplers import GibbsSampler, SamplerConfig, sampler_seed
 
@@ -112,13 +112,20 @@ class EquivalenceReport:
             fh.write("\n")
 
 
-def _output_probabilities(ebm_model, inputs):
-    """P(y_j = 1 | x) per example from the exact conditional marginal."""
-    y_states, scores = ebm._y_scores(ebm_model, np.asarray(inputs, dtype=np.float64))
+def _output_probabilities(y_states, scores):
+    """P(y_j = 1 | x) per row of ``scores`` (as :func:`ebmlp.ebm.y_scores`
+    returns them) from the exact conditional marginal."""
     scores = scores - scores.max(axis=1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs @ y_states.astype(np.float64)
+
+
+def _readings(model, dataset):
+    """Both readings of one model on one dataset from one pre-activation:
+    the MLP outputs and the EBM's (y patterns, y-scores)."""
+    a = mlp.pre_activation(model, dataset.inputs)
+    return mlp.outputs(model, a), ebm.y_scores(model, a)
 
 
 def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, sampler=None, init_std=0.01):
@@ -149,23 +156,28 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, s
         }
     )
 
-    # Both readings take any Model, so each model is read the other way
-    # directly.
+    # Both readings take any Model, so each model is read both ways from
+    # its own pre-activation, once per dataset and step.
+    train_labels = label_rows(train_set.labels, len(train_set))
+
     def record(step):
+        (z_mlp, (y_states, scores_mlp)), (z_ebm, (_, scores_ebm)) = (
+            _readings(model, test_set) for model in (mlp_model, ebm_model)
+        )
+        (fit_mlp, (_, fit_scores_mlp)), (fit_ebm, (_, fit_scores_ebm)) = (
+            _readings(model, train_set) for model in (mlp_model, ebm_model)
+        )
         report.append(
             step=step,
-            mlp_loss=mlp.mean_cross_entropy(mlp_model, train_set.inputs, train_set.labels),
-            mlp_loss_ebm_weights=mlp.mean_cross_entropy(ebm_model, train_set.inputs, train_set.labels),
-            ebm_loglik=ebm.mean_log_likelihood(ebm_model, train_set),
-            ebm_loglik_mlp_weights=ebm.mean_log_likelihood(mlp_model, train_set),
-            acc_mlp=mlp.accuracy(mlp_model, test_set),
-            acc_mlp_ebm_weights=mlp.accuracy(ebm_model, test_set),
-            acc_ebm=ebm.accuracy(ebm_model, test_set),
-            acc_ebm_mlp_weights=ebm.accuracy(mlp_model, test_set),
-            kl_nats=symmetrized_kl(
-                np.atleast_2d(mlp.forward(mlp_model, test_set.inputs)),
-                _output_probabilities(ebm_model, test_set.inputs),
-            ),
+            mlp_loss=mlp.cross_entropy(train_labels, fit_mlp),
+            mlp_loss_ebm_weights=mlp.cross_entropy(train_labels, fit_ebm),
+            ebm_loglik=ebm.scored_log_likelihood(fit_scores_ebm, train_labels),
+            ebm_loglik_mlp_weights=ebm.scored_log_likelihood(fit_scores_mlp, train_labels),
+            acc_mlp=mlp.exact_match(mlp.threshold(z_mlp), test_set.labels),
+            acc_mlp_ebm_weights=mlp.exact_match(mlp.threshold(z_ebm), test_set.labels),
+            acc_ebm=mlp.exact_match(ebm.most_probable(y_states, scores_ebm), test_set.labels),
+            acc_ebm_mlp_weights=mlp.exact_match(ebm.most_probable(y_states, scores_mlp), test_set.labels),
+            kl_nats=symmetrized_kl(z_mlp, _output_probabilities(y_states, scores_ebm)),
         )
 
     learners = [(mlp_model, mlp.backprop_gradient), (ebm_model, ebm.sampled_gradient(sampler, options))]

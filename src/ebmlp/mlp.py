@@ -2,6 +2,12 @@
 pass, cross-entropy loss, analytic backpropagation, and the backprop
 gradient function that :func:`ebmlp.training.fit` trains with.
 
+Evaluation of a model on a set of inputs starts from one pre-activation
+A = X W1^T + b (:func:`pre_activation`); the feedforward outputs come from
+it here (:func:`outputs`) and the energy-based y-scores in
+:func:`ebmlp.ebm.y_scores`, so a recorder that reads a model both ways
+forms the product once.
+
 Gradients returned here are descent directions on the loss; the energy-based
 trainer in :mod:`ebmlp.ebm` returns ascent directions on the log-likelihood
 and negates before the optimizer, so both modules feed ADAM the same way.
@@ -11,11 +17,27 @@ import numpy as np
 
 from .core import sigmoid
 from .models import GradientSet
-from .training import as_batch_arrays, fit_traced, TrainOptions
+from .training import as_batch_arrays, fit_traced, label_rows, TrainOptions
 
 # Sigmoid outputs within float rounding of 0 or 1 would make the loss
 # infinite; the clamp bounds the loss without touching the gradient path.
 LOSS_CLAMP = 1e-12
+
+
+def pre_activation(model, inputs):
+    """A = X W1^T + b, one row per input row (a single input vector gives
+    one row)."""
+    x2d = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if x2d.shape[1] != model.n_visible:
+        raise ValueError(f"input has {x2d.shape[1]} features, model expects {model.n_visible}")
+    return x2d @ model.w1.T + model.b
+
+
+def outputs(model, a, return_hidden=False):
+    """z = sigmoid(W2 sigmoid(A) + c) per row of the pre-activation A."""
+    h = sigmoid(a)
+    z = sigmoid(h @ model.w2.T + model.c)
+    return (z, h) if return_hidden else z
 
 
 def forward(model, x, return_hidden=False):
@@ -24,14 +46,8 @@ def forward(model, x, return_hidden=False):
     Accepts a single input vector or a batch with one row per example and
     returns the matching shape. Entries are strictly inside (0, 1).
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2d = np.atleast_2d(x)
-    if x2d.shape[1] != model.n_visible:
-        raise ValueError(f"input has {x2d.shape[1]} features, model expects {model.n_visible}")
-    h = sigmoid(x2d @ model.w1.T + model.b)
-    z = sigmoid(h @ model.w2.T + model.c)
-    if single:
+    z, h = outputs(model, pre_activation(model, x), return_hidden=True)
+    if np.ndim(x) == 1:
         h, z = h[0], z[0]
     return (z, h) if return_hidden else z
 
@@ -52,8 +68,8 @@ def cross_entropy(y, z):
 
 def mean_cross_entropy(model, inputs, labels):
     """Batch-mean cross-entropy of the forward pass against labels."""
-    labels = np.asarray(labels, dtype=np.float64).reshape(np.atleast_2d(inputs).shape[0], -1)
-    return cross_entropy(labels, np.atleast_2d(forward(model, inputs)))
+    a = pre_activation(model, inputs)
+    return cross_entropy(label_rows(labels, a.shape[0]), outputs(model, a))
 
 
 def grad_backprop(model, batch):
@@ -77,15 +93,26 @@ def backprop_gradient(model, batch, step):
     return grad_backprop(model, batch)
 
 
-def predict(model, x):
+def threshold(z):
     """Thresholds each output at 0.5; exactly 0.5 resolves to 0."""
-    return (np.atleast_2d(forward(model, x)) > 0.5).astype(np.uint8)
+    return (z > 0.5).astype(np.uint8)
+
+
+def exact_match(predictions, labels):
+    """Fraction of rows of ``predictions`` that equal their label in every
+    output."""
+    labels = np.asarray(labels, dtype=np.uint8).reshape(predictions.shape[0], -1)
+    return float(np.mean(np.all(predictions == labels, axis=1)))
+
+
+def predict(model, x):
+    """The thresholded forward pass, one row of 0/1 outputs per input."""
+    return threshold(outputs(model, pre_activation(model, x)))
 
 
 def accuracy(model, dataset):
     """Exact-match fraction of predict() against dataset labels."""
-    labels = np.asarray(dataset.labels, dtype=np.uint8).reshape(len(dataset), -1)
-    return float(np.mean(np.all(predict(model, dataset.inputs) == labels, axis=1)))
+    return exact_match(predict(model, dataset.inputs), dataset.labels)
 
 
 def train_mlp(model, train_set, options=None, test_set=None):

@@ -44,6 +44,11 @@ def as_batch_arrays(batch):
     return x, y
 
 
+def label_rows(labels, n_rows):
+    """Labels as float64 with one row per example."""
+    return np.asarray(labels, dtype=np.float64).reshape(n_rows, -1)
+
+
 def batch_indices(n_examples, batch_size, rng):
     """Endless batch iterator: reshuffle each epoch, yield index arrays."""
     while True:
@@ -59,7 +64,7 @@ def fit(learners, train_set, options, record):
     update (step 0) and after each one."""
     optimizers = [AdamState.for_params(model.params(), lr=options.lr) for model, _ in learners]
     stream = batch_indices(len(train_set), options.batch_size, rng_from_seed([options.seed, 0x6A7C4]))
-    labels = np.asarray(train_set.labels, dtype=np.float64).reshape(len(train_set), -1)
+    labels = label_rows(train_set.labels, len(train_set))
     record(0)
     for step in range(1, options.steps + 1):
         idx = next(stream)
@@ -72,17 +77,20 @@ def fit(learners, train_set, options, record):
 
 def fit_traced(model, gradient, train_set, options, test_set, trainer):
     """:func:`fit` one learner, tracing train-set loss and exact
-    log-likelihood and feedforward test accuracy (both readings take any
-    parameter container)."""
+    log-likelihood, both read from one train-set pre-activation, and
+    feedforward test accuracy (both readings take any parameter
+    container)."""
     from . import ebm, mlp  # both import this module
 
     trace = TrainingTrace(seed=options.seed, metadata={"trainer": trainer, "lr": options.lr})
+    train_labels = label_rows(train_set.labels, len(train_set))
 
     def record(step):
+        a = mlp.pre_activation(model, train_set.inputs)
         trace.append(
             step,
-            mlp.mean_cross_entropy(model, train_set.inputs, train_set.labels),
-            ebm.mean_log_likelihood(model, train_set),
+            mlp.cross_entropy(train_labels, mlp.outputs(model, a)),
+            ebm.scored_log_likelihood(ebm.y_scores(model, a)[1], train_labels),
             None if test_set is None else mlp.accuracy(model, test_set),
         )
 
