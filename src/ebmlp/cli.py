@@ -58,21 +58,17 @@ def _parse_sizes(text):
 
 
 def _coerce(name, value):
-    """Convert a config-file or CLI string to the RunConfig field's type."""
+    """Convert a config-file or CLI string to the type its RunConfig field declares."""
     if name not in _CONFIG_FIELDS:
         raise ValueError(f"unknown config key {name!r}")
     if value is None or (isinstance(value, str) and value.strip().lower() == "none"):
         return None
-    if name == "sizes":
-        return _parse_sizes(value)
-    default = _CONFIG_FIELDS[name].default
-    if isinstance(default, bool):
+    kind = _CONFIG_FIELDS[name].type
+    if kind is bool:
         return _parse_bool(value)
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float) or name in ("beta_sim",):
-        return float(value)
-    return str(value)
+    if kind is tuple:
+        return _parse_sizes(value)
+    return kind(value)
 
 
 def read_config_file(path):

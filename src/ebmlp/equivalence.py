@@ -38,7 +38,9 @@ def symmetrized_kl(p_outputs, q_outputs, clamp=1e-12):
     """Mean over examples of D(p||q) + D(q||p) for Bernoulli outputs, nats.
 
     Multi-output rows sum over outputs before the example mean. Parameters
-    are clamped to [clamp, 1-clamp] first, matching the loss clamp.
+    are clamped to [clamp, 1-clamp] first, matching the loss clamp. The
+    divergence is nonnegative, so a total that rounding pushed below zero
+    (near-equal outputs) is returned as 0.0.
     """
     p = np.clip(np.asarray(p_outputs, dtype=np.float64), clamp, 1.0 - clamp)
     q = np.clip(np.asarray(q_outputs, dtype=np.float64), clamp, 1.0 - clamp)
@@ -47,7 +49,7 @@ def symmetrized_kl(p_outputs, q_outputs, clamp=1e-12):
     direct = p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))
     reverse = q * np.log(q / p) + (1.0 - q) * np.log((1.0 - q) / (1.0 - p))
     both = np.atleast_1d(direct + reverse)
-    return float(both.reshape(both.shape[0], -1).sum(axis=1).mean())
+    return max(float(both.reshape(both.shape[0], -1).sum(axis=1).mean()), 0.0)
 
 
 @dataclass

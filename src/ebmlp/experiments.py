@@ -11,7 +11,7 @@ plain CSV/JSON.
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -49,7 +49,9 @@ ACCURACY_TARGET = 0.70
 @dataclass
 class RunConfig:
     """Everything a track run needs; the CLI fills this from the config
-    file plus flag overrides, library callers construct it directly."""
+    file plus flag overrides, library callers construct it directly. The
+    sampler and training settings take their defaults from SamplerConfig
+    and TrainOptions, which own them and their rules."""
 
     track: str = "classical1"
     data_dir: str = "data"
@@ -57,21 +59,21 @@ class RunConfig:
     class_b: int = 1
     train_count: int = 20
     n_hidden: int = 32
-    batch_size: int = 5
-    lr: float = 0.1
-    steps: int = 20
+    batch_size: int = TrainOptions.batch_size
+    lr: float = TrainOptions.lr
+    steps: int = TrainOptions.steps
     trials: int = 5
     seed: int = 0
     output_dir: str = "runs"
-    beta_eff: float = 16.0
-    reads: int = 1000
-    burn_in: int = 100
-    thin: int = 1
-    anneal_sweeps: int = 1000
-    anneal_beta_start: float = 0.1
-    anneal_schedule: str = "geometric"
-    beta_sim: float = None
-    use_sampled_hidden: bool = False
+    beta_eff: float = SamplerConfig.beta_eff
+    reads: int = SamplerConfig.reads
+    burn_in: int = SamplerConfig.burn_in
+    thin: int = SamplerConfig.thin
+    anneal_sweeps: int = SamplerConfig.anneal_sweeps
+    anneal_beta_start: float = SamplerConfig.anneal_beta_start
+    anneal_schedule: str = SamplerConfig.anneal_schedule
+    beta_sim: float = SamplerConfig.beta_sim
+    use_sampled_hidden: bool = TrainOptions.use_sampled_hidden
     init_std: float = 0.01
     sizes: tuple = (10, 100, 1000, 10000)
 
@@ -92,26 +94,14 @@ class RunConfig:
         self.train_options(self.seed)
 
     def sampler_config(self, seed):
-        return SamplerConfig(
-            beta_eff=self.beta_eff,
-            reads=self.reads,
-            burn_in=self.burn_in,
-            thin=self.thin,
-            anneal_sweeps=self.anneal_sweeps,
-            anneal_beta_start=self.anneal_beta_start,
-            anneal_schedule=self.anneal_schedule,
-            beta_sim=self.beta_sim,
-            seed=seed,
-        )
+        return self._owned(SamplerConfig, seed)
 
     def train_options(self, seed):
-        return TrainOptions(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            seed=seed,
-            use_sampled_hidden=self.use_sampled_hidden,
-        )
+        return self._owned(TrainOptions, seed)
+
+    def _owned(self, owner, seed):
+        # a field the owner gains and RunConfig lacks raises AttributeError here
+        return owner(**{f.name: getattr(self, f.name) for f in fields(owner) if f.name != "seed"}, seed=seed)
 
 
 @dataclass
@@ -293,7 +283,8 @@ def write_bqm_dump(model, x, beta_eff, path):
         ising_to_text(clamped).rstrip("\n"),
         "",
     ]
-    Path(path).write_text("\n".join(lines))
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines))
 
 
 def _seconds_per_call(stmt, reps):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import rng_from_seed
+from .training import atomic_open
 
 MODEL_MAGIC = b"EBMLP001"
 
@@ -176,7 +177,7 @@ def model_from_bytes(data):
 
 
 def save_model(model, path):
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(model_to_bytes(model))
 
 

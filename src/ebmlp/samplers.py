@@ -21,6 +21,7 @@ import numpy as np
 from ._kernels import anneal_block, gibbs_block, gibbs_chain  # noqa: F401
 from .bqm import bqm_to_ising, build_conditional_bqm, clamp_to_hardware
 from .core import derive_seed, rng_from_seed
+from .mlp import pre_activation
 
 ANNEAL_SCHEDULES = ("geometric", "linear")
 
@@ -68,11 +69,13 @@ class SamplerConfig:
         return self.beta_eff if self.beta_sim is None else self.beta_sim
 
     def anneal_betas(self):
-        """Inverse-temperature ramp consumed by the anneal kernel."""
+        """Inverse-temperature ramp consumed by the anneal kernel; its last
+        sweep runs at effective_beta_sim."""
         end = self.effective_beta_sim
-        if self.anneal_schedule == "geometric":
-            return np.geomspace(self.anneal_beta_start, end, self.anneal_sweeps)
-        return np.linspace(self.anneal_beta_start, end, self.anneal_sweeps)
+        ramp = np.geomspace if self.anneal_schedule == "geometric" else np.linspace
+        betas = ramp(self.anneal_beta_start, end, self.anneal_sweeps)
+        betas[-1] = end  # a one-sweep ramp is [anneal_beta_start]; longer ones already end here
+        return betas
 
 
 def sampler_seed(seed):
@@ -206,9 +209,8 @@ class GibbsSampler(Sampler):
 
     def sample_batch(self, model, xs, reads=None, seed=None):
         reads, seed = self._resolve(reads, seed)
-        a_rows = _rows(xs) @ model.w1.T + model.b
         cfg = self.config
-        return gibbs_block(a_rows, model.w2, model.c, reads, cfg.burn_in, cfg.thin, seed)
+        return gibbs_block(pre_activation(model, xs), model.w2, model.c, reads, cfg.burn_in, cfg.thin, seed)
 
     def metadata(self, model, x, seed):
         return {**super().metadata(model, x, seed), "burn_in": self.config.burn_in, "thin": self.config.thin}

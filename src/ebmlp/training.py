@@ -99,13 +99,13 @@ def fit_traced(model, gradient, train_set, options, test_set, trainer):
 
 
 @contextmanager
-def atomic_open(path, newline=None):
-    """Write text to a temp file beside ``path`` and os.replace it into
-    place when the block completes; if it raises, ``path`` is untouched
-    and the temp file is removed."""
+def atomic_open(path, mode="w", newline=None):
+    """Write to a temp file beside ``path`` (opened with ``mode``, "w" or
+    "wb") and os.replace it into place when the block completes; if it
+    raises, ``path`` is untouched and the temp file is removed."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

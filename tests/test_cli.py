@@ -1,6 +1,7 @@
 """Command-line interface: config merging, subcommand behavior, and the
 machine-readable error contract."""
 
+import dataclasses
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from ebmlp.cli import (
     main,
     read_config_file,
 )
+from ebmlp.experiments import RunConfig
 from ebmlp.training import TrainingTrace
 
 
@@ -64,13 +66,33 @@ class TestCoercion:
             _parse_sizes("")
 
     def test_coerce_types(self):
-        assert _coerce("steps", "7") == 7
-        assert _coerce("lr", "0.25") == 0.25
-        assert _coerce("beta_sim", "4") == 4.0
-        assert _coerce("beta_sim", "none") is None
-        assert _coerce("use_sampled_hidden", "yes") is True
-        assert _coerce("sizes", "1,2") == (1, 2)
-        assert _coerce("track", "bench") == "bench"
+        # each value takes the type its RunConfig field declares
+        cases = [
+            ("steps", "7", 7),
+            ("lr", "0.25", 0.25),
+            ("beta_sim", "12", 12.0),
+            ("beta_sim", "none", None),
+            ("use_sampled_hidden", "yes", True),
+            ("sizes", "10,20", (10, 20)),
+            ("anneal_schedule", "linear", "linear"),
+            ("track", "bench", "bench"),
+        ]
+        for name, text, expected in cases:
+            got = _coerce(name, text)
+            assert got == expected and type(got) is type(expected), name
+
+    @pytest.mark.parametrize(
+        "argv, own",
+        [
+            (["train", "--track", "classical1"], {"track", "dump_bqm"}),
+            (["equivalence"], set()),
+            (["bench"], {"repeats"}),
+        ],
+    )
+    def test_every_run_setting_is_a_flag(self, argv, own):
+        args = vars(build_parser().parse_args(argv))
+        flags = set(args) - {"command", "func", "config"} - own
+        assert flags == {f.name for f in dataclasses.fields(RunConfig)} - {"track"}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):

@@ -71,6 +71,17 @@ class TestSymmetrizedKl:
             q = rng.random((4, 2))
             assert symmetrized_kl(p, q) >= 0.0
 
+    def test_near_equal_outputs_give_nonnegative_kl(self):
+        # rounding alone made this pair's divergence -4.3e-17
+        kl = symmetrized_kl([0.61], [0.6100000000000001])
+        assert kl == 0.0
+        report = EquivalenceReport()
+        report.append(**{**{name: 0.5 for name in REPORT_COLUMNS}, "kl_nats": kl})
+        rng = rng_from_seed(4)
+        p = rng.random(2000)
+        q = np.nextafter(p, 1.0)
+        assert all(symmetrized_kl([a], [b]) >= 0.0 for a, b in zip(p, q))
+
     def test_multi_output_sums(self):
         p = np.array([[0.75, 0.75]])
         q = np.array([[0.25, 0.25]])

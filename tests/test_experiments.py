@@ -3,6 +3,7 @@ benchmarking, and the annealer-programming dump."""
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from ebmlp.experiments import (
     write_bqm_dump,
 )
 from ebmlp.models import Model, initial_model
-from ebmlp.training import read_trace_csv
+from ebmlp.samplers import SamplerConfig
+from ebmlp.training import TrainOptions, read_trace_csv
 
 
 @pytest.fixture
@@ -76,13 +78,32 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="steps"):
             RunConfig(steps=-1)
 
+    def test_owner_settings_have_owner_defaults(self):
+        run_fields = {f.name: f for f in fields(RunConfig)}
+        for owner in (SamplerConfig, TrainOptions):
+            for f in fields(owner):
+                if f.name != "seed":
+                    assert run_fields[f.name].default == f.default, f.name
+                    assert run_fields[f.name].type is f.type, f.name
+
     def test_sampler_and_train_options(self):
-        config = RunConfig(beta_eff=8.0, reads=77, burn_in=5, steps=3, batch_size=2, lr=0.2)
-        sc = config.sampler_config(9)
-        assert sc.beta_eff == 8.0 and sc.reads == 77 and sc.seed == 9
-        to = config.train_options(4)
-        assert to.steps == 3 and to.batch_size == 2 and to.lr == 0.2 and to.seed == 4
-        assert not hasattr(to, "reads")  # the read count is the sampler's alone
+        sampler_values = dict(
+            beta_eff=8.0, reads=77, burn_in=5, thin=2, anneal_sweeps=9,
+            anneal_beta_start=0.25, anneal_schedule="linear", beta_sim=3.0,
+        )
+        train_values = dict(steps=3, batch_size=2, lr=0.2, use_sampled_hidden=True)
+        config = RunConfig(**sampler_values, **train_values)
+        for owner, values, built in (
+            (SamplerConfig, sampler_values, config.sampler_config(9)),
+            (TrainOptions, train_values, config.train_options(4)),
+        ):
+            # every setting of the owner but its seed, each set apart from its default
+            assert set(values) == {f.name for f in fields(owner)} - {"seed"}
+            for name, value in values.items():
+                assert value != getattr(owner, name)
+                assert getattr(built, name) == value, name
+        assert config.sampler_config(9).seed == 9 and config.train_options(4).seed == 4
+        assert not hasattr(config.train_options(4), "reads")  # the read count is the sampler's alone
 
 
 class TestSuccessMetrics:

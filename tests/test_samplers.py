@@ -85,6 +85,17 @@ class TestSamplerConfig:
         cfg = SamplerConfig(beta_eff=8.0, anneal_beta_start=2.0, anneal_sweeps=4, anneal_schedule="linear")
         np.testing.assert_allclose(cfg.anneal_betas(), [2.0, 4.0, 6.0, 8.0], atol=1e-12)
 
+    @pytest.mark.parametrize("schedule", ["geometric", "linear"])
+    @pytest.mark.parametrize("sweeps", [1, 2, 5])
+    @pytest.mark.parametrize("beta_sim", [None, 3.0])
+    def test_last_sweep_runs_at_target_beta(self, schedule, sweeps, beta_sim):
+        cfg = SamplerConfig(anneal_sweeps=sweeps, anneal_schedule=schedule, beta_sim=beta_sim)
+        betas = cfg.anneal_betas()
+        assert betas.shape == (sweeps,)
+        assert betas[-1] == cfg.effective_beta_sim
+        if sweeps > 1:
+            assert betas[0] == cfg.anneal_beta_start
+
 
 class TestSampleSet:
     def test_from_reads_aggregates(self):
@@ -407,6 +418,11 @@ class TestSampleBatch:
         assert a.shape == (3, 200, 3) and a.dtype == np.uint8
         np.testing.assert_array_equal(a, sampler.sample_batch(model, xs, seed=4))
         assert not np.array_equal(a, sampler.sample_batch(model, xs, seed=5))
+
+    def test_gibbs_rejects_wrong_input_width(self, make_model):
+        sampler = GibbsSampler(SamplerConfig(reads=10, burn_in=1))
+        with pytest.raises(ValueError, match="features"):
+            sampler.sample_batch(make_model(n=3, k=2, m=1), np.zeros((2, 4)))
 
     def test_sample_aggregates_one_row_batch(self, make_model):
         model = make_model(n=2, k=2, m=1, seed=39)

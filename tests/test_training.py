@@ -7,8 +7,9 @@ import pytest
 from ebmlp.core import rng_from_seed
 from ebmlp.data import synthetic_task
 from ebmlp.equivalence import REPORT_COLUMNS, EquivalenceReport
+from ebmlp.experiments import write_bqm_dump
 from ebmlp.mlp import backprop_gradient, train_mlp
-from ebmlp.models import Model
+from ebmlp.models import Model, save_model
 from ebmlp.training import TrainingTrace, TrainOptions, as_batch_arrays, atomic_open, fit
 
 
@@ -122,4 +123,30 @@ class TestAtomicWrites:
         with atomic_open(path) as fh:
             fh.write("new\n")
         assert path.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_model_rewrite_keeps_old_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(Model.zeros(3, 2, 1), path)
+        before = path.read_bytes()
+        bad = Model.zeros(3, 2, 1)
+        bad.c = ["not a number"]  # serializing fails after the header
+        with pytest.raises(ValueError):
+            save_model(bad, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_bqm_dump_rewrite_keeps_old_file(self, tmp_path):
+        class Unencodable(float):
+            # a lone surrogate cannot be encoded, so the write itself fails
+            def __repr__(self):
+                return "16.0\ud800"
+
+        path = tmp_path / "bqm_dump.txt"
+        model = Model.zeros(2, 1, 1)
+        write_bqm_dump(model, np.zeros(2), 16.0, path)
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            write_bqm_dump(model, np.zeros(2), Unencodable(16.0), path)
+        assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
