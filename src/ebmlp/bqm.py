@@ -154,6 +154,7 @@ class ClampReport:
     clips: list = field(default_factory=list)
 
     def __bool__(self):
+        # any clipped coefficient changes the sampled Boltzmann distribution
         return bool(self.clips)
 
     def __len__(self):
@@ -162,12 +163,6 @@ class ClampReport:
     @property
     def max_shift(self):
         return max((c.shift for c in self.clips), default=0.0)
-
-    @property
-    def distorts_distribution(self):
-        # Any altered coefficient changes the sampled Boltzmann
-        # distribution; clipping is loud, never silent.
-        return bool(self.clips)
 
 
 def clamp_to_hardware(ising, h_range=H_RANGE, j_range=J_RANGE):

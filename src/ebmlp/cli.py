@@ -29,7 +29,7 @@ from .experiments import (
     write_bqm_dump,
 )
 from .models import initial_model
-from .training import read_trace_csv
+from .training import TrainingTrace
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
@@ -61,9 +61,12 @@ def _coerce(name, value):
     """Convert a config-file or CLI string to the type its RunConfig field declares."""
     if name not in _CONFIG_FIELDS:
         raise ValueError(f"unknown config key {name!r}")
+    field = _CONFIG_FIELDS[name]
     if value is None or (isinstance(value, str) and value.strip().lower() == "none"):
+        if field.default is not None:
+            raise ValueError(f"config key {name!r} cannot be none; only keys whose default is none accept it")
         return None
-    kind = _CONFIG_FIELDS[name].type
+    kind = field.type
     if kind is bool:
         return _parse_bool(value)
     if kind is tuple:
@@ -166,7 +169,7 @@ def _cmd_summarize(args):
     if not traces:
         raise FileNotFoundError(f"no trace_*.csv files in {directory}")
     summaries = [
-        TrialSummary.from_accuracies(trial, _seed_from_comment(p), read_trace_csv(p).test_accuracy)
+        TrialSummary.from_accuracies(trial, _seed_from_comment(p), TrainingTrace.read_csv(p).test_accuracy)
         for trial, p in traces
     ]
     aggregate = summarize_trials(summaries)

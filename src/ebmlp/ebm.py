@@ -63,7 +63,7 @@ def state_energies(model, x, states):
     """Energies of joint (k, y) states given as rows (k first, y last)."""
     kk = states[:, : model.n_hidden].astype(np.float64)
     yy = states[:, model.n_hidden :].astype(np.float64)
-    a = model.w1 @ np.asarray(x, dtype=np.float64) + model.b
+    a = mlp.pre_activation(model, x)[0]
     return kk @ a + ((yy @ model.w2) * kk).sum(axis=1) + yy @ model.c
 
 

@@ -7,31 +7,17 @@ swapped-weight losses, the four test accuracies, and the symmetrized KL
 divergence between the models' output distributions.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import initial_model
-from .training import atomic_open, fit, label_rows, TrainOptions
+from .training import atomic_open, fit, label_rows, StepTable, TrainOptions
 from . import ebm, mlp
 from .samplers import GibbsSampler, SamplerConfig, sampler_seed
 
 REPORT_SCHEMA_VERSION = 1
-
-REPORT_COLUMNS = (
-    "step",
-    "mlp_loss",
-    "mlp_loss_ebm_weights",
-    "ebm_loglik",
-    "ebm_loglik_mlp_weights",
-    "acc_mlp",
-    "acc_mlp_ebm_weights",
-    "acc_ebm",
-    "acc_ebm_mlp_weights",
-    "kl_nats",
-)
 
 
 def symmetrized_kl(p_outputs, q_outputs, clamp=1e-12):
@@ -53,11 +39,10 @@ def symmetrized_kl(p_outputs, q_outputs, clamp=1e-12):
 
 
 @dataclass
-class EquivalenceReport:
+class EquivalenceReport(StepTable):
     """Per-step series of the lockstep experiment; one entry per step
     including step 0 (the shared initialization)."""
 
-    steps: list = field(default_factory=list)
     mlp_loss: list = field(default_factory=list)
     mlp_loss_ebm_weights: list = field(default_factory=list)
     ebm_loglik: list = field(default_factory=list)
@@ -69,24 +54,12 @@ class EquivalenceReport:
     kl_nats: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _attr(column):
-        # the "step" column is stored in the `steps` list
-        return "steps" if column == "step" else column
-
-    def _series(self):
-        return {name: getattr(self, self._attr(name)) for name in REPORT_COLUMNS}
-
     def append(self, **values):
         if set(values) != set(REPORT_COLUMNS):
             raise ValueError(f"report row must provide exactly {REPORT_COLUMNS}")
         if values["kl_nats"] < 0.0:
             raise ValueError("kl_nats must be nonnegative")
-        for name in REPORT_COLUMNS:
-            getattr(self, self._attr(name)).append(values[name])
-
-    def __len__(self):
-        return len(self.steps)
+        self._add_row(*(values[name] for name in REPORT_COLUMNS))
 
     @property
     def max_kl(self):
@@ -96,22 +69,18 @@ class EquivalenceReport:
     def final_kl(self):
         return self.kl_nats[-1]
 
-    def to_csv(self, path):
-        with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            for row in zip(*(self._series()[name] for name in REPORT_COLUMNS)):
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
     def to_json(self, path):
         payload = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "metadata": self.metadata,
-            "series": self._series(),
+            "series": self.series(),
         }
         with atomic_open(path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+REPORT_COLUMNS = tuple(header for _, header in EquivalenceReport.columns())
 
 
 def _output_probabilities(y_states, scores):

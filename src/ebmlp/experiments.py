@@ -23,8 +23,8 @@ from .core import rng_from_seed
 from .data import load_standard_split, make_binary_task
 from .ebm import train_ebm
 from .equivalence import run_equivalence_experiment
-from .mlp import train_mlp
-from .models import initial_model
+from .mlp import pre_activation, train_mlp
+from .models import initial_model, Model
 from .samplers import GibbsSampler, make_sampler, SamplerConfig, sampler_seed
 from .training import atomic_open, TrainOptions
 
@@ -288,10 +288,13 @@ def write_bqm_dump(model, x, beta_eff, path):
 
 
 def _seconds_per_call(stmt, reps):
-    t0 = time.perf_counter()
+    # CPU time of the calling thread: other processes' load on the host does
+    # not count, and neither do BLAS worker threads, which keep spinning
+    # after a threaded call and would be charged to the next (small) size
+    t0 = time.thread_time()
     for _ in range(reps):
         stmt()
-    return (time.perf_counter() - t0) / reps
+    return (time.thread_time() - t0) / reps
 
 
 def _calibrated_reps(stmt, target, max_reps=100000):
@@ -306,12 +309,12 @@ def _mlp_matmul(inputs, w1, w2):
     return (inputs @ w1.T) @ w2.T
 
 
-def _gibbs_conditional(inputs, w1, w2, b, c, reads, burn_in, seed):
-    return gibbs_block(inputs @ w1.T + b, w2, c, reads, burn_in, 1, seed)
+def _gibbs_conditional(inputs, model, reads, burn_in, seed):
+    return gibbs_block(pre_activation(model, inputs), model.w2, model.c, reads, burn_in, 1, seed)
 
 
 def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, batch=1024, reads=1, burn_in=0):
-    """Wall-clock scaling of the two per-example classical operations.
+    """CPU-time scaling of the two per-example classical operations.
 
     One hidden and one output unit, visible width swept. "mlp_matmul"
     times the forward pass's matrix work for a batch of inputs;
@@ -323,8 +326,9 @@ def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, batch=1024, 
     first; then each of ``repeats`` rounds times every series once, so
     drift in host speed hits all sizes alike. Returns one dict per
     (component, size) with the median seconds per call and the calls
-    per measurement (``BENCH_COLUMNS``); medians are wall-clock and vary
-    between machines and runs, so only their ordering is meaningful.
+    per measurement (``BENCH_COLUMNS``); medians are CPU seconds of the
+    calling thread and vary between machines and runs, so only their
+    ordering is meaningful.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
@@ -334,11 +338,10 @@ def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, batch=1024, 
     for n in sizes:
         w1 = rng.normal(scale=0.01, size=(1, n))
         w2 = rng.normal(scale=0.01, size=(1, 1))
-        b = np.zeros(1)
-        c = np.zeros(1)
+        model = Model(w1, w2, np.zeros(1), np.zeros(1))
         inputs = rng.random((batch, n))
         series.append(({"component": "mlp_matmul", "size": n}, partial(_mlp_matmul, inputs, w1, w2)))
-        stmt = partial(_gibbs_conditional, inputs, w1, w2, b, c, reads, burn_in, seed)
+        stmt = partial(_gibbs_conditional, inputs, model, reads, burn_in, seed)
         series.append(({"component": "gibbs_conditional", "size": n}, stmt))
     reps = [_calibrated_reps(stmt, target=0.02) for _, stmt in series]
     samples = [[] for _ in series]

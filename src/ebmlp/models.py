@@ -92,18 +92,6 @@ class Model:
             np.zeros(n_outputs),
         )
 
-    @classmethod
-    def init_fanin_uniform(cls, n_visible, n_hidden, n_outputs, rng):
-        """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer, biases included."""
-        b1 = 1.0 / np.sqrt(n_visible)
-        b2 = 1.0 / np.sqrt(n_hidden)
-        return cls(
-            rng.uniform(-b1, b1, size=(n_hidden, n_visible)),
-            rng.uniform(-b2, b2, size=(n_outputs, n_hidden)),
-            rng.uniform(-b1, b1, size=n_hidden),
-            rng.uniform(-b2, b2, size=n_outputs),
-        )
-
 
 # perfbench/bench.py builds models.EbmModel(w1, w2, b, c)
 EbmModel = MlpModel = Model

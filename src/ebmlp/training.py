@@ -5,7 +5,7 @@ atomic output files."""
 import csv
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,12 +113,64 @@ def atomic_open(path, mode="w", newline=None):
 
 
 @dataclass
-class TrainingTrace:
+class StepTable:
+    """Per-step series, one row per step. Each list field of a subclass is
+    one column, in declaration order; FILE_NAMES renames a column in files.
+    Values are stored as float (None for a missing value), the step as int."""
+
+    FILE_NAMES = {"steps": "step"}
+
+    steps: list = field(default_factory=list)
+
+    @classmethod
+    def columns(cls):
+        """(attribute, file header) per column, in declaration order."""
+        return tuple((f.name, cls.FILE_NAMES.get(f.name, f.name)) for f in fields(cls) if f.type is list)
+
+    def _add_row(self, step, *values):
+        row = [int(step), *(None if v is None else float(v) for v in values)]
+        for (name, _), value in zip(self.columns(), row, strict=True):
+            getattr(self, name).append(value)
+
+    def __len__(self):
+        return len(self.steps)
+
+    def series(self):
+        """{file header: values} per column, in column order."""
+        return {header: getattr(self, name) for name, header in self.columns()}
+
+    def to_csv(self, path, header_comment=None):
+        """Write the table atomically: an optional `# ...` first line that
+        records run identifiers, the headers, then one row per step. Floats
+        use repr so reruns are byte-identical; None is an empty cell."""
+        series = self.series()
+        with atomic_open(path, newline="") as fh:
+            if header_comment:
+                fh.write(f"# {header_comment}\n")
+            writer = csv.writer(fh)
+            writer.writerow(series.keys())
+            for step, *values in zip(*series.values()):
+                writer.writerow([step, *("" if v is None else repr(float(v)) for v in values)])
+
+    @classmethod
+    def read_csv(cls, path):
+        """Inverse of :meth:`to_csv`; a column missing from the file reads
+        as None."""
+        table = cls()
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+                table._add_row(*(row.get(header) or None for _, header in cls.columns()))
+        return table
+
+
+@dataclass
+class TrainingTrace(StepTable):
     """Per-step metrics. Row 0 is the pre-training state; row t is after
     update t. Train metrics are evaluated on the full training set, test
     accuracy on the held-out set (None when no test set was given)."""
 
-    steps: list = field(default_factory=list)
+    FILE_NAMES = {**StepTable.FILE_NAMES, "ebm_loglik": "ebm_loglik_estimate"}
+
     train_loss: list = field(default_factory=list)
     ebm_loglik: list = field(default_factory=list)
     test_accuracy: list = field(default_factory=list)
@@ -127,52 +179,4 @@ class TrainingTrace:
     metadata: dict = field(default_factory=dict)
 
     def append(self, step, train_loss, ebm_loglik, test_accuracy, kl=None):
-        self.steps.append(int(step))
-        self.train_loss.append(None if train_loss is None else float(train_loss))
-        self.ebm_loglik.append(None if ebm_loglik is None else float(ebm_loglik))
-        self.test_accuracy.append(None if test_accuracy is None else float(test_accuracy))
-        self.kl_nats.append(None if kl is None else float(kl))
-
-    def to_csv(self, path, header_comment=None):
-        """Write the trace with the documented column order. Missing values
-        are empty cells; floats use repr so reruns are byte-identical. An
-        optional `# ...` first line records run identifiers."""
-        with atomic_open(path, newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step", "train_loss", "ebm_loglik_estimate", "test_accuracy", "kl_nats"])
-            for i, step in enumerate(self.steps):
-                writer.writerow(
-                    [
-                        step,
-                        _cell(self.train_loss[i]),
-                        _cell(self.ebm_loglik[i]),
-                        _cell(self.test_accuracy[i]),
-                        _cell(self.kl_nats[i]),
-                    ]
-                )
-
-
-def _cell(value):
-    return "" if value is None else repr(float(value))
-
-
-def read_trace_csv(path):
-    """Inverse of TrainingTrace.to_csv, for the summarize command."""
-    trace = TrainingTrace()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:
-            trace.append(
-                int(row["step"]),
-                _parse(row["train_loss"]),
-                _parse(row["ebm_loglik_estimate"]),
-                _parse(row["test_accuracy"]),
-                _parse(row.get("kl_nats", "")),
-            )
-    return trace
-
-
-def _parse(cell):
-    return None if cell in (None, "") else float(cell)
+        self._add_row(step, train_loss, ebm_loglik, test_accuracy, kl)

@@ -94,6 +94,14 @@ class TestCoercion:
         flags = set(args) - {"command", "func", "config"} - own
         assert flags == {f.name for f in dataclasses.fields(RunConfig)} - {"track"}
 
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_none_only_for_keys_that_default_to_none(self, field):
+        if field.default is None:
+            assert _coerce(field.name, "none") is None
+        else:
+            with pytest.raises(ValueError, match=repr(field.name)):
+                _coerce(field.name, "None")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             _coerce("momentum", "0.9")
@@ -125,6 +133,12 @@ class TestConfigFile:
         config = build_run_config(args, require_track="classical1")
         assert config.steps == 9
         assert config.lr == 0.5
+
+    def test_none_clears_beta_sim(self, tmp_path):
+        path = tmp_path / "e.ini"
+        path.write_text("beta_sim = 3.0\n")
+        args = build_parser().parse_args(["equivalence", "--config", str(path), "--beta_sim", "none"])
+        assert build_run_config(args).beta_sim is None
 
     def test_defaults_without_file(self):
         parser = build_parser()
@@ -190,6 +204,18 @@ class TestTrainCommand:
         payload = json.loads(err[0])
         assert payload["error"] == "ValueError" and "anneal_schedule" in payload["message"]
         assert not list((tmp_path / "runs").glob("trace_*.csv"))
+
+    @pytest.mark.parametrize("key", ["steps", "data_dir"])
+    def test_none_for_a_key_with_a_default_is_rejected(self, capsys, tmp_path, key):
+        out_dir = tmp_path / "runs"
+        path = tmp_path / "none.ini"
+        path.write_text(f"{key} = none\n")
+        for override in (["--" + key, "none"], ["--config", str(path)]):
+            code, out, err = run_cli(capsys, "train", "--track", "classical1", "--output_dir", str(out_dir), *override)
+            assert code == 1 and not out
+            payload = json.loads(err[0])
+            assert payload["error"] == "ValueError" and repr(key) in payload["message"]
+        assert not out_dir.exists()
 
     def test_usage_error_is_json_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "train", "--track", "warp")

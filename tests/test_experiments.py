@@ -28,7 +28,7 @@ from ebmlp.experiments import (
 )
 from ebmlp.models import Model, initial_model
 from ebmlp.samplers import SamplerConfig
-from ebmlp.training import TrainOptions, read_trace_csv
+from ebmlp.training import TrainingTrace, TrainOptions
 
 
 @pytest.fixture
@@ -235,7 +235,7 @@ class TestRunTrack:
         assert len(payload["trials"]) == 2
         assert payload["aggregate"] == aggregate
         for trial in range(2):
-            trace = read_trace_csv(f"{out}/trace_{trial}.csv")
+            trace = TrainingTrace.read_csv(f"{out}/trace_{trial}.csv")
             assert trace.steps == list(range(config.steps + 1))
 
     def test_trace_header_comment(self, small_config):

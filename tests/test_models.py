@@ -77,13 +77,6 @@ class TestInit:
         model = models.EbmModel(np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(2), np.zeros(1))
         assert type(model) is Model and models.MlpModel is Model
 
-    def test_fanin_uniform_bounds(self):
-        rng = rng_from_seed(1)
-        model = Model.init_fanin_uniform(16, 4, 2, rng)
-        assert float(np.max(np.abs(model.w1))) <= 1.0 / 4.0
-        assert float(np.max(np.abs(model.w2))) <= 0.5
-        assert np.any(model.b) and np.any(model.c)
-
 
 class TestGradientSet:
     def test_param_dict_keys(self, make_model):

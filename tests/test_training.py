@@ -80,6 +80,60 @@ class TestFit:
             np.testing.assert_array_equal(value, bare.params()[name])
 
 
+def _small_trace():
+    trace = TrainingTrace()
+    trace.append(0, 0.5, -0.25, None)
+    trace.append(1, 1.0 / 3.0, np.float64(-0.1), 0.75, kl=0.0)
+    return trace
+
+
+def _small_report():
+    report = EquivalenceReport()
+    row = {name: 0.125 for name in REPORT_COLUMNS}
+    report.append(**{**row, "step": 0, "acc_ebm": None, "kl_nats": 0.0})
+    report.append(**{**row, "step": 1, "mlp_loss": 2.0 / 3.0, "kl_nats": 1e-17})
+    return report
+
+
+class TestStepTable:
+    def test_trace_csv_bytes(self, tmp_path):
+        path = tmp_path / "trace_0.csv"
+        _small_trace().to_csv(path, header_comment="track=classical1 trial=0 seed=7")
+        assert path.read_bytes() == (
+            b"# track=classical1 trial=0 seed=7\n"
+            b"step,train_loss,ebm_loglik_estimate,test_accuracy,kl_nats\r\n"
+            b"0,0.5,-0.25,,\r\n"
+            b"1,0.3333333333333333,-0.1,0.75,0.0\r\n"
+        )
+
+    def test_report_csv_bytes(self, tmp_path):
+        path = tmp_path / "equivalence.csv"
+        _small_report().to_csv(path)
+        assert path.read_bytes() == (
+            b"step,mlp_loss,mlp_loss_ebm_weights,ebm_loglik,ebm_loglik_mlp_weights,"
+            b"acc_mlp,acc_mlp_ebm_weights,acc_ebm,acc_ebm_mlp_weights,kl_nats\r\n"
+            b"0,0.125,0.125,0.125,0.125,0.125,0.125,,0.125,0.0\r\n"
+            b"1,0.6666666666666666,0.125,0.125,0.125,0.125,0.125,0.125,0.125,1e-17\r\n"
+        )
+
+    @pytest.mark.parametrize("make", [_small_trace, _small_report])
+    def test_read_csv_round_trip(self, tmp_path, make):
+        table = make()
+        path = tmp_path / "table.csv"
+        table.to_csv(path, header_comment="run 1")
+        back = type(table).read_csv(path)
+        assert back.series() == table.series()
+        assert [type(v) for v in back.steps] == [int, int]
+
+    def test_read_csv_missing_column_reads_as_none(self, tmp_path):
+        path = tmp_path / "trace_0.csv"
+        path.write_text("# seed=1\nstep,train_loss,ebm_loglik_estimate,test_accuracy\n0,0.5,-0.5,0.75\n")
+        trace = TrainingTrace.read_csv(path)
+        assert trace.series() == {
+            "step": [0], "train_loss": [0.5], "ebm_loglik_estimate": [-0.5], "test_accuracy": [0.75], "kl_nats": [None]
+        }
+
+
 class TestAtomicWrites:
     def test_failed_trace_rewrite_keeps_old_file(self, tmp_path):
         path = tmp_path / "trace_0.csv"
@@ -97,8 +151,8 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_failed_report_rewrites_keep_old_files(self, tmp_path):
-        class Unprintable:
-            def __str__(self):
+        class Unformattable:
+            def __float__(self):
                 raise RuntimeError("cannot format")
 
         row = {name: 0.25 for name in REPORT_COLUMNS}
@@ -110,7 +164,8 @@ class TestAtomicWrites:
 
         bad = EquivalenceReport(metadata={"sampler": object()})
         bad.append(**row)
-        bad.append(**{**row, "acc_mlp": Unprintable()})
+        bad.append(**row)
+        bad.acc_mlp[1] = Unformattable()
         with pytest.raises(RuntimeError):
             bad.to_csv(tmp_path / "equivalence.csv")
         with pytest.raises(TypeError):
