@@ -56,11 +56,25 @@ def _uniform32(bit_generator, out):
     """Fills float32 ``out`` with uniforms on [0, 1) spaced 2**-24 apart,
     made as ``Generator.random(dtype=np.float32)`` makes them,
     (r >> 8) * 2**-24 for successive 32-bit halves r of the raw 64-bit
-    words, at about half its cost: the words come from one call."""
+    words; the words come from one call. After the shift every word is
+    below 2**24, so it converts exactly through int32 and the scaling is
+    an exact in-place multiply: apart from the draw itself, three passes."""
     flat = out.reshape(-1)
     words = bit_generator.random_raw((flat.size + 1) // 2).view(np.uint32)[: flat.size]
     np.right_shift(words, 8, out=words)
-    np.multiply(words, np.float32(2.0**-24), out=flat, dtype=np.float32)
+    np.copyto(flat, words.view(np.int32), casting="unsafe")
+    flat *= np.float32(2.0**-24)
+
+
+def _flip_where_below(spins, accept, u):
+    """Negates each spin whose uniform ``u`` is below ``accept``, leaving
+    ``u`` spent: u - accept has its sign bit set exactly when u < accept
+    (also for accept = inf; u == accept gives +0), and XOR-ing that bit
+    into a float32 spin negates it."""
+    np.subtract(u, accept, out=u)
+    sign = u.view(np.uint32)
+    np.bitwise_and(sign, np.uint32(0x80000000), out=sign)
+    np.bitwise_xor(spins.view(np.uint32), sign, out=spins.view(np.uint32))
 
 
 def anneal_block(h_rows, coupling, betas, reads, seed):
@@ -79,6 +93,22 @@ def anneal_block(h_rows, coupling, betas, reads, seed):
     hidden-first single-site scan in distribution. Returns
     (points, reads, K+M) uint8 bits under q = (s + 1) / 2.
 
+    One layer update is a few passes over (points, reads, layer) float32
+    arrays besides the PCG64 draw:
+
+    - fields: for the hidden layer, one batched product of the output
+      spins, held with a trailing column of ones, with a per-point block
+      whose rows are J^T * (-2 beta) and then h * (-2 beta), so h rides on
+      the ones column; the output layer, only M wide, takes one product
+      with J and then adds its h;
+    - ``*= spins``, giving -beta dE;
+    - ``exp``, with no clamp at 0: where -beta dE > 0, exp gives a value
+      >= 1 or inf, and u < 1 flips the spin in both cases, just as the
+      clamped exp(0) = 1 does, so every decision is kept;
+    - the uniforms (``_uniform32``);
+    - ``u - accept``, whose sign bit is the flip, ANDed out and XOR-ed
+      into the spins' sign bits.
+
     Spins, fields, couplings and acceptance probabilities are float32 and
     the uniforms u are multiples of 2**-24, so a flip happens with its
     Metropolis probability up to float32 rounding: within about 2**-24,
@@ -96,28 +126,33 @@ def anneal_block(h_rows, coupling, betas, reads, seed):
     rng = np.random.default_rng(int(seed))
     n_points = h_rows.shape[0]
     s = np.where(rng.random((n_points, reads, kk + mm), dtype=np.float32) < 0.5, np.float32(1.0), np.float32(-1.0))
-    s_k, s_y = np.ascontiguousarray(s[..., :kk]), np.ascontiguousarray(s[..., kk:])
-    # Per layer: its spins, its fields, the other layer's spins as one
-    # (points * reads, n) matrix for a single gemm with the coupling from
-    # them, and the buffers of one update.
-    layers = []
-    for spins, h, other, w in ((s_k, h_rows[:, None, :kk], s_y, coupling.T), (s_y, h_rows[:, None, kk:], s_k, coupling)):
-        buffers = np.empty_like(spins), np.empty_like(spins), np.empty(spins.shape, bool)
-        layers.append((spins, h, other.reshape(n_points * reads, other.shape[2]), w, *buffers))
-    for beta in betas:
-        scale = np.float32(-2.0 * beta)
-        for spins, h, other, w, accept, u, flip in layers:
-            # accept = exp(min(-beta dE, 0)) with -beta dE =
-            # -2 beta s (h + J s_other); the cap at 0 keeps exp from overflowing
-            np.dot(other, w * scale, out=accept.reshape(n_points * reads, accept.shape[2]))
-            accept += h * scale
-            accept *= spins
-            np.minimum(accept, 0.0, out=accept)
+    s_k = np.ascontiguousarray(s[..., :kk])
+    # output spins with a column of ones, whose row of the hidden block is h
+    y_aug = np.ones((n_points, reads, mm + 1), np.float32)
+    y_aug[..., :mm] = s[..., kk:]
+    s_y = y_aug[..., :mm]
+    h_k, h_y = h_rows[:, None, :kk], h_rows[:, None, kk:]
+    w_aug = np.empty((n_points, mm + 1, kk), np.float32)
+    k_rows = s_k.reshape(n_points * reads, kk)
+    accept_k, u_k = np.empty_like(s_k), np.empty_like(s_k)
+    accept_y, u_y = np.empty((n_points * reads, mm), np.float32), np.empty((n_points, reads, mm), np.float32)
+    with np.errstate(over="ignore"):
+        for beta in betas:
+            scale = np.float32(-2.0 * beta)
+            # hidden: accept = exp(-beta dE) = exp(scale * s (J s_y + h))
+            np.multiply(coupling.T, scale, out=w_aug[:, :mm])
+            np.multiply(h_k[:, 0], scale, out=w_aug[:, mm])
+            np.matmul(y_aug, w_aug, out=accept_k)
+            accept_k *= s_k
+            np.exp(accept_k, out=accept_k)
+            _uniform32(rng.bit_generator, u_k)
+            _flip_where_below(s_k, accept_k, u_k)
+            # output: the same from J^T s_k + h
+            np.dot(k_rows, coupling * scale, out=accept_y)
+            accept = accept_y.reshape(s_y.shape)
+            accept += h_y * scale
+            accept *= s_y
             np.exp(accept, out=accept)
-            _uniform32(rng.bit_generator, u)
-            np.less(u, accept, out=flip)
-            # a flip negates a spin: toggle the float32 sign bit, no mask
-            sign = u.view(np.uint32)
-            np.left_shift(flip.view(np.uint8), 31, out=sign, dtype=np.uint32)
-            np.bitwise_xor(spins.view(np.uint32), sign, out=spins.view(np.uint32))
+            _uniform32(rng.bit_generator, u_y)
+            _flip_where_below(s_y, accept, u_y)
     return np.concatenate((s_k > 0.0, s_y > 0.0), axis=2).astype(np.uint8)

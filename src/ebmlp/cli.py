@@ -11,6 +11,7 @@ and print one JSON line on stderr.
 import argparse
 import configparser
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from .models import initial_model
 from .training import TrainingTrace
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_BENCH_REPEATS = inspect.signature(bench_runtime).parameters["repeats"].default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,7 +217,7 @@ def build_parser():
 
     bench = commands.add_parser("bench", help="runtime scaling benchmark")
     bench.add_argument("--config", default=None)
-    bench.add_argument("--repeats", type=int, default=21, help="measurements per point (median taken)")
+    bench.add_argument("--repeats", type=int, default=_BENCH_REPEATS, help="measurements per point (median taken)")
     _add_config_flags(bench, skip=("track",))
     bench.set_defaults(func=_cmd_bench)
 

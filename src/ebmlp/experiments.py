@@ -8,6 +8,7 @@ their traces and the aggregate summary land in the output directory as
 plain CSV/JSON.
 """
 
+import itertools
 import json
 import math
 import time
@@ -298,11 +299,31 @@ def _seconds_per_call(stmt, reps):
 
 
 def _calibrated_reps(stmt, target, max_reps=100000):
-    """Warm ``stmt`` up, then pick how many calls take about ``target``
-    seconds together, from the fastest of three single calls."""
-    stmt()  # warm-up: the first call allocates and fills caches
-    once = min(_seconds_per_call(stmt, 1) for _ in range(3))
-    return max(1, min(max_reps, math.ceil(target / max(once, 1e-9))))
+    """How many calls of ``stmt`` take about ``target`` seconds together.
+
+    After one warm-up call, loops of 1, 2, 5, 10, ... calls are timed, as
+    ``timeit.Timer.autorange`` does, until one reaches ``target``. A slow
+    start (allocation, BLAS thread start-up) can fill that loop, so one
+    more loop of the same length is timed and the faster of the two sets
+    the count."""
+    stmt()
+    for reps in _one_two_five(max_reps):
+        per_call = _seconds_per_call(stmt, reps)
+        if per_call * reps >= target:
+            break
+    per_call = min(per_call, _seconds_per_call(stmt, reps))
+    return max(1, min(max_reps, math.ceil(target / max(per_call, 1e-9))))
+
+
+def _one_two_five(limit):
+    """1, 2, 5, 10, 20, 50, ... up to ``limit``, which comes last."""
+    for power in itertools.count():
+        for digit in (1, 2, 5):
+            n = digit * 10**power
+            if n >= limit:
+                yield limit
+                return
+            yield n
 
 
 def _mlp_matmul(inputs, w1, w2):
@@ -313,7 +334,7 @@ def _gibbs_conditional(inputs, model, reads, burn_in, seed):
     return gibbs_block(pre_activation(model, inputs), model.w2, model.c, reads, burn_in, 1, seed)
 
 
-def bench_runtime(sizes=(10, 100, 1000, 10000), repeats=21, seed=0, batch=1024, reads=1, burn_in=0):
+def bench_runtime(sizes=RunConfig.sizes, repeats=21, seed=0, batch=1024, reads=1, burn_in=0):
     """CPU-time scaling of the two per-example classical operations.
 
     One hidden and one output unit, visible width swept. "mlp_matmul"

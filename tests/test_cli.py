@@ -2,6 +2,7 @@
 machine-readable error contract."""
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from ebmlp.cli import (
     main,
     read_config_file,
 )
-from ebmlp.experiments import RunConfig
+from ebmlp.experiments import RunConfig, bench_runtime
 from ebmlp.training import TrainingTrace
 
 
@@ -93,6 +94,12 @@ class TestCoercion:
         args = vars(build_parser().parse_args(argv))
         flags = set(args) - {"command", "func", "config"} - own
         assert flags == {f.name for f in dataclasses.fields(RunConfig)} - {"track"}
+
+    def test_bench_defaults_come_from_the_library(self):
+        defaults = inspect.signature(bench_runtime).parameters
+        args = build_parser().parse_args(["bench"])
+        assert args.repeats == defaults["repeats"].default
+        assert defaults["sizes"].default == RunConfig().sizes
 
     @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
     def test_none_only_for_keys_that_default_to_none(self, field):

@@ -1,8 +1,10 @@
 """Track orchestration: trial dispatch, success metrics, output files,
 benchmarking, and the annealer-programming dump."""
 
+import itertools
 import json
 import math
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -330,6 +332,25 @@ class TestBench:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             bench_runtime(sizes=(0,), repeats=1)
+
+    def test_calibration_outlasts_a_slow_start(self):
+        # the first four calls each burn 10 ms of this thread's CPU time, as
+        # a series whose first calls start BLAS threads might; the rest are
+        # cheap, so a 20 ms loop holds far more than two of them
+        calls = itertools.count()
+
+        def stmt():
+            if next(calls) < 4:
+                t0 = time.thread_time()
+                while time.thread_time() - t0 < 0.01:
+                    pass
+
+        assert experiments._calibrated_reps(stmt, target=0.02) > 100
+
+    def test_calibration_loops_grow_one_two_five(self):
+        assert list(experiments._one_two_five(60)) == [1, 2, 5, 10, 20, 50, 60]
+        assert list(experiments._one_two_five(50)) == [1, 2, 5, 10, 20, 50]
+        assert list(experiments._one_two_five(1)) == [1]
 
     def test_monotone_components_unit(self):
         rows = [

@@ -318,6 +318,93 @@ class TestAnnealKernel:
             anneal_block(np.zeros((1, 3)), np.zeros((1, 1)), [1.0], 4, 0)
 
 
+def reference_uniform32(bit_generator, out):
+    """The float32 uniforms as first written: (r >> 8) * 2**-24 for the
+    32-bit halves r of the raw words, cast and scaled in one multiply."""
+    flat = out.reshape(-1)
+    words = bit_generator.random_raw((flat.size + 1) // 2).view(np.uint32)[: flat.size]
+    np.right_shift(words, 8, out=words)
+    np.multiply(words, np.float32(2.0**-24), out=flat, dtype=np.float32)
+
+
+def reference_anneal_block(h_rows, coupling, betas, reads, seed):
+    """``anneal_block`` as first written, one layer at a time: a gemm for
+    the fields plus a broadcast add of h, exp(min(-beta dE, 0)), a bool
+    flip mask shifted into the sign bit. The kernel must return its bytes."""
+    h_rows = np.ascontiguousarray(np.atleast_2d(h_rows), dtype=np.float32)
+    coupling = np.ascontiguousarray(coupling, dtype=np.float32)
+    betas = np.ascontiguousarray(betas, dtype=np.float64)
+    kk, mm = coupling.shape
+    rng = np.random.default_rng(int(seed))
+    n_points = h_rows.shape[0]
+    s = np.where(rng.random((n_points, reads, kk + mm), dtype=np.float32) < 0.5, np.float32(1.0), np.float32(-1.0))
+    s_k, s_y = np.ascontiguousarray(s[..., :kk]), np.ascontiguousarray(s[..., kk:])
+    layers = []
+    for spins, h, other, w in ((s_k, h_rows[:, None, :kk], s_y, coupling.T), (s_y, h_rows[:, None, kk:], s_k, coupling)):
+        buffers = np.empty_like(spins), np.empty_like(spins), np.empty(spins.shape, bool)
+        layers.append((spins, h, other.reshape(n_points * reads, other.shape[2]), w, *buffers))
+    for beta in betas:
+        scale = np.float32(-2.0 * beta)
+        for spins, h, other, w, accept, u, flip in layers:
+            np.dot(other, w * scale, out=accept.reshape(n_points * reads, accept.shape[2]))
+            accept += h * scale
+            accept *= spins
+            np.minimum(accept, 0.0, out=accept)
+            np.exp(accept, out=accept)
+            reference_uniform32(rng.bit_generator, u)
+            np.less(u, accept, out=flip)
+            sign = u.view(np.uint32)
+            np.left_shift(flip.view(np.uint8), 31, out=sign, dtype=np.uint32)
+            np.bitwise_xor(spins.view(np.uint32), sign, out=spins.view(np.uint32))
+    return np.concatenate((s_k > 0.0, s_y > 0.0), axis=2).astype(np.uint8)
+
+
+SCHEDULES = {"geometric": np.geomspace(0.1, 16.0, 40), "linear": np.linspace(0.5, 8.0, 25), "one-sweep": [16.0], "empty": []}
+
+
+@pytest.mark.usefixtures("kernels")
+class TestAnnealKernelBytes:
+    """The kernel returns the reference's reads byte for byte: the same
+    PCG64 words, uniforms, fields and flip decisions."""
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize(
+        "kk, mm, points, reads",
+        [
+            (32, 1, 5, 200),  # the training shape, with fewer reads
+            (7, 2, 3, 501),  # an odd number of hidden uniforms per sweep
+            (8, 3, 5, 201),  # an odd number of output uniforms per sweep
+            (5, 3, 1, 3),  # both odd
+            (4, 1, 1, 1),  # one read
+            (3, 3, 2, 1),
+        ],
+    )
+    def test_matches_the_reference(self, kk, mm, points, reads, schedule):
+        rng = rng_from_seed([kk, mm, points, reads])
+        h_rows = rng.normal(scale=0.7, size=(points, kk + mm))
+        coupling = rng.normal(scale=0.3, size=(kk, mm))
+        betas = SCHEDULES[schedule]
+        np.testing.assert_array_equal(
+            anneal_block(h_rows, coupling, betas, reads, 19), reference_anneal_block(h_rows, coupling, betas, reads, 19)
+        )
+
+    @pytest.mark.parametrize("mm", [1, 2, 3])
+    def test_matches_the_reference_where_exp_overflows(self, mm):
+        # every local field is above 4.5 in size, so at beta = 16 a downhill
+        # flip has -beta dE = 2 beta |lam| above 88.7 and float32 exp
+        # overflows to inf; the spin must still flip, and no RuntimeWarning
+        # (which the test configuration turns into an error) may be raised
+        kk, points, reads = 6, 3, 301
+        rng = rng_from_seed([44, mm])
+        h_rows = rng.choice([-5.0, 5.0], size=(points, kk + mm)) * rng.uniform(1.0, 2.0, size=(points, kk + mm))
+        coupling = rng.uniform(-0.08, 0.08, size=(kk, mm))
+        assert 2.0 * 16.0 * (np.abs(h_rows).min() - kk * 0.08) > 88.8
+        for betas in (np.geomspace(1.0, 16.0, 20), [16.0]):
+            np.testing.assert_array_equal(
+                anneal_block(h_rows, coupling, betas, reads, 5), reference_anneal_block(h_rows, coupling, betas, reads, 5)
+            )
+
+
 @pytest.mark.usefixtures("kernels")
 class TestSamplersAgainstExact:
     def test_zero_model_uniform(self):
