@@ -29,7 +29,7 @@ from .equivalence import EquivalenceReport, run_equivalence_experiment, symmetri
 from .experiments import RunConfig, TRACKS, TrialSummary, bench_runtime, run_track, summarize_trials
 from .mlp import accuracy as mlp_accuracy, cross_entropy, forward, grad_backprop, train_mlp
 from .models import GradientSet, Model, initial_model, load_model, save_model
-from .samplers import ExactSampler, GibbsSampler, SampleSet, SamplerConfig, SimAnnealSampler, make_sampler
+from .samplers import ExactSampler, GibbsSampler, SamplerConfig, SimAnnealSampler, make_sampler
 from .training import TrainingTrace, TrainOptions
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "IsingModel",
     "Model",
     "RunConfig",
-    "SampleSet",
     "SamplerConfig",
     "SimAnnealSampler",
     "TRACKS",

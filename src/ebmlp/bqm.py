@@ -5,11 +5,18 @@ minimization target: build_conditional_bqm emits coefficients such that
 exp(-beta_eff * E_bqm(k, y)), renormalized over (k, y), equals P(k, y | x)
 exactly. The Ising form is the spin-variable ({-1,+1}) equivalent with the
 change-of-variable constant folded into the offset.
+
+The annealer is programmed from clamped_ising_rows, the closed form of
+clamp_to_hardware(bqm_to_ising(build_conditional_bqm(...))) for a whole
+minibatch at once; that per-input pipeline stays as its reference and
+writes the ``--dump-bqm`` file.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .mlp import pre_activation
 
 # Programmable coefficient ranges of the target annealer.
 H_RANGE = (-2.0, 2.0)
@@ -101,10 +108,35 @@ def build_conditional_bqm(model, x, beta_eff):
     kk, mm = model.n_hidden, model.n_outputs
     n = kk + mm
     q = np.zeros((n, n))
-    q[np.arange(kk), np.arange(kk)] = -(model.w1 @ x + model.b) / beta_eff
+    q[np.arange(kk), np.arange(kk)] = -pre_activation(model, x)[0] / beta_eff
     q[np.arange(kk, n), np.arange(kk, n)] = -model.c / beta_eff
     q[:kk, kk:] = -model.w2.T / beta_eff
     return Bqm(n, q, 0.0)
+
+
+def clamped_ising_rows(model, a, beta_eff):
+    """The hardware-clipped Ising fields of many clamped inputs, and the
+    hidden-output coupling they share, in closed form.
+
+    ``a`` is the (rows, K) pre-activation W1 x + b of the inputs
+    (:func:`ebmlp.mlp.pre_activation`). Returns the (rows, K+M) field
+    block, hidden units first, and the (K, M) block J[:K, K:]:
+
+    - hidden fields h_k = a_k / (2 beta) + sum_m W2[m, k] / (4 beta);
+    - output fields h_m = c_m / (2 beta) + sum_k W2[m, k] / (4 beta);
+    - couplings J = W2^T / (4 beta),
+
+    each clipped into its range. Row r equals the h of
+    ``clamp_to_hardware(bqm_to_ising(build_conditional_bqm(model, x_r,
+    beta_eff)))`` up to float rounding, and the block its J[:K, K:]. The
+    input enters only the hidden fields and the couplings come from W2
+    alone, so the graph is bipartite and the same for every row.
+    """
+    two, four = 2.0 * beta_eff, 4.0 * beta_eff
+    h_rows = np.empty((a.shape[0], model.n_hidden + model.n_outputs))
+    h_rows[:, : model.n_hidden] = a / two + model.w2.sum(axis=0) / four
+    h_rows[:, model.n_hidden :] = model.c / two + model.w2.sum(axis=1) / four
+    return np.clip(h_rows, *H_RANGE), np.clip(model.w2.T / four, *J_RANGE)
 
 
 def bqm_to_ising(bqm):

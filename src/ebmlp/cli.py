@@ -118,11 +118,7 @@ def _add_config_flags(sub, skip=()):
 def _cmd_train(args):
     config = build_run_config(args, require_track=args.track)
     train_set, test_set = load_task(config)
-    if args.dump_bqm:
-        model = initial_model(config.seed, train_set.n_features, config.n_hidden, config.init_std)
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_bqm_dump(model, train_set.inputs[0], config.beta_eff, out / "bqm_dump.txt")
+
     def progress(trial, summary):
         line = {"trial": trial, "seed": summary.seed, "final_accuracy": summary.final_accuracy,
                 "steps_to_70": summary.steps_to_target, "success": summary.success}
@@ -132,6 +128,10 @@ def _cmd_train(args):
         print(json.dumps(line))
 
     _, _, aggregate = run_track(config, train_set, test_set, progress=progress)
+    if args.dump_bqm:
+        # after run_track, which clears a stale dump from the directory
+        model = initial_model(config.seed, train_set.n_features, config.n_hidden, config.init_std)
+        write_bqm_dump(model, train_set.inputs[0], config.beta_eff, Path(config.output_dir) / "bqm_dump.txt")
     print(json.dumps({"track": config.track, "output_dir": config.output_dir, "aggregate": aggregate}))
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import initial_model
+from .models import INIT_STD, initial_model, N_HIDDEN
 from .training import atomic_open, fit, label_rows, StepTable, TrainOptions
 from . import ebm, mlp
 from .samplers import GibbsSampler, SamplerConfig, sampler_seed
@@ -99,7 +99,7 @@ def _readings(model, dataset):
     return mlp.outputs(model, a), ebm.y_scores(model, a)
 
 
-def run_equivalence_experiment(train_set, test_set, n_hidden=32, options=None, sampler=None, init_std=0.01):
+def run_equivalence_experiment(train_set, test_set, n_hidden=N_HIDDEN, options=None, sampler=None, init_std=INIT_STD):
     """Train an MLP (backprop) and an EBM (sampled conditional gradient)
     in lockstep from one shared Gaussian initialization and identical batch
     sequences, cross-evaluating each model's weights the other way each step.

@@ -25,7 +25,7 @@ from .data import load_standard_split, make_binary_task
 from .ebm import train_ebm
 from .equivalence import run_equivalence_experiment
 from .mlp import pre_activation, train_mlp
-from .models import initial_model, Model
+from .models import INIT_STD, initial_model, Model, N_HIDDEN
 from .samplers import GibbsSampler, make_sampler, SamplerConfig, sampler_seed
 from .training import atomic_open, TrainOptions
 
@@ -59,7 +59,7 @@ class RunConfig:
     class_a: int = 0
     class_b: int = 1
     train_count: int = 20
-    n_hidden: int = 32
+    n_hidden: int = N_HIDDEN
     batch_size: int = TrainOptions.batch_size
     lr: float = TrainOptions.lr
     steps: int = TrainOptions.steps
@@ -75,7 +75,7 @@ class RunConfig:
     anneal_schedule: str = SamplerConfig.anneal_schedule
     beta_sim: float = SamplerConfig.beta_sim
     use_sampled_hidden: bool = TrainOptions.use_sampled_hidden
-    init_std: float = 0.01
+    init_std: float = INIT_STD
     sizes: tuple = (10, 100, 1000, 10000)
 
     def __post_init__(self):
@@ -202,9 +202,10 @@ def run_track(config, train_set=None, test_set=None, progress=None):
 
     A trial that raises is marked failed and the run continues. Writes
     trace_<trial>.csv per trial plus summary.json into the output
-    directory, after removing those files from any earlier run there so a
-    reused directory never mixes runs; returns (traces, summaries,
-    aggregate).
+    directory, after removing those files, and the bqm_dump.txt that
+    ``ebmlp train --dump-bqm`` writes after the run, from any earlier run
+    there so a reused directory never mixes runs; returns (traces,
+    summaries, aggregate).
     """
     if config.track not in TRACKS:
         raise ValueError(f"run_track handles {TRACKS}, not {config.track!r}")
@@ -212,7 +213,7 @@ def run_track(config, train_set=None, test_set=None, progress=None):
         train_set, test_set = load_task(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for stale in [*out.glob("trace_*.csv"), out / "summary.json"]:
+    for stale in [*out.glob("trace_*.csv"), out / "summary.json", out / "bqm_dump.txt"]:
         stale.unlink(missing_ok=True)
     traces, summaries = [], []
     for trial in range(config.trials):

@@ -16,6 +16,11 @@ from .training import atomic_open
 
 MODEL_MAGIC = b"EBMLP001"
 
+# The default start of a run: hidden width and the weights' standard
+# deviation. RunConfig and run_equivalence_experiment read them from here.
+N_HIDDEN = 32
+INIT_STD = 0.01
+
 
 def _validate_group(w1, w2, b, c):
     w1 = np.ascontiguousarray(w1, dtype=np.float64)
@@ -83,7 +88,7 @@ class Model:
         )
 
     @classmethod
-    def init_gaussian(cls, n_visible, n_hidden, n_outputs, rng, std=0.01):
+    def init_gaussian(cls, n_visible, n_hidden, n_outputs, rng, std=INIT_STD):
         """Weights from N(0, std^2), biases zero."""
         return cls(
             rng.normal(0.0, std, size=(n_hidden, n_visible)),

@@ -2,15 +2,15 @@
 
 Three interchangeable implementations: ExactSampler (enumeration oracle),
 GibbsSampler (block Gibbs on the conditionals), and SimAnnealSampler (a
-quantum-annealer stand-in that consumes the quadratic-model encoding:
-build_conditional_bqm -> bqm_to_ising -> clamp_to_hardware -> Metropolis
-anneal). With beta_sim equal to the beta_eff used in the encoding and no
-coefficient clipping, the anneal's end-of-schedule distribution matches
-the conditional it was built from.
+quantum-annealer stand-in: the clipped Ising model of every input in the
+minibatch, formed in closed form from the pre-activation by
+:func:`ebmlp.bqm.clamped_ising_rows`, then a Metropolis anneal). With
+beta_sim equal to the beta_eff used in the encoding and no coefficient
+clipping, the anneal's end-of-schedule distribution matches the
+conditional it was built from.
 
-Each sampler draws a whole minibatch of clamped inputs in one kernel call
-(``sample_batch``, raw reads); ``sample`` aggregates one input's reads
-into a SampleSet.
+Each sampler has one method, ``sample_batch``: it draws raw reads for a
+whole minibatch of clamped inputs in one kernel call.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ import numpy as np
 
 # gibbs_chain is unused here but stays bound: perfbench/selftest.py patches it in this module
 from ._kernels import anneal_block, gibbs_block, gibbs_chain  # noqa: F401
-from .bqm import bqm_to_ising, build_conditional_bqm, clamp_to_hardware
+from .bqm import clamped_ising_rows
 from .core import derive_seed, rng_from_seed
 from .mlp import pre_activation
 
@@ -31,10 +31,9 @@ class SamplerConfig:
     """Knobs shared by all samplers; each implementation reads its subset.
 
     ``reads`` is the only read-count setting: trainers draw what the
-    sampler is configured to draw, and only a direct ``sample`` or
-    ``sample_batch`` call can ask for another count. Likewise ``seed`` is
-    the only sampler seed: trainers derive each step's seed from it.
-    beta_sim defaults to
+    sampler is configured to draw, and only a direct ``sample_batch`` call
+    can ask for another count. Likewise ``seed`` is the only sampler seed:
+    trainers derive each step's seed from it. beta_sim defaults to
     beta_eff, which makes the simulated annealer's target distribution
     exactly the encoded conditional; setting it apart studies
     hardware-calibration error.
@@ -84,14 +83,16 @@ def sampler_seed(seed):
     return derive_seed(seed, 0x5EED)
 
 
+# perfbench/bench.py hooks __post_init__ and perfbench/selftest.py patches
+# from_reads, so both stay until the benchmark counts reads from
+# sample_batch (ROADMAP item 1); nothing in the package builds one.
 @dataclass
 class SampleSet:
     """Aggregated reads from one clamped data point.
 
     Rows of ``assignments`` are unique (k, y) bit vectors, k in the first
     n_hidden columns; ``counts`` holds occurrence counts summing to
-    total_reads. Metadata records sampler name, the beta the reads target,
-    and the seed actually used.
+    total_reads.
     """
 
     assignments: np.ndarray
@@ -119,33 +120,10 @@ class SampleSet:
         assignments, counts = np.unique(raw, axis=0, return_counts=True)
         return cls(assignments, counts, raw.shape[0], n_hidden, metadata or {})
 
-    def weights(self):
-        return self.counts / self.total_reads
-
-    def y_distribution(self):
-        """Unique y patterns and their empirical probabilities."""
-        y_bits = self.assignments[:, self.n_hidden :]
-        patterns, inverse = np.unique(y_bits, axis=0, return_inverse=True)
-        w = np.bincount(inverse, weights=self.weights(), minlength=patterns.shape[0])
-        return patterns.astype(np.float64), w
-
-    def empirical_probabilities(self, n_bits):
-        """Dense probability vector over all 2^n_bits joint states, indexed
-        with bit 0 least significant. Oracle-comparison helper."""
-        weights = 1 << np.arange(self.assignments.shape[1], dtype=np.int64)
-        index = self.assignments.astype(np.int64) @ weights
-        dense = np.zeros(2**n_bits)
-        dense[index] = self.weights()
-        return dense
-
 
 class Sampler:
-    """Common construction and seed plumbing.
-
-    Subclasses implement ``sample_batch``, which draws raw reads for a
-    whole minibatch from one seed; ``sample`` aggregates one clamped
-    input's reads into a SampleSet, with ``metadata`` describing them.
-    """
+    """Common construction and seed plumbing; subclasses implement
+    ``sample_batch``."""
 
     name = "base"
 
@@ -154,19 +132,9 @@ class Sampler:
 
     def sample_batch(self, model, xs, reads=None, seed=None):
         """Raw reads for every row of ``xs``: a (rows, reads, K+M) uint8
-        array, k bits first. One seed covers the whole batch."""
+        array, k bits first. One seed covers the whole batch; ``reads``
+        and ``seed`` default to the configured ones."""
         raise NotImplementedError
-
-    def metadata(self, model, x, seed):
-        """Sampler name, the beta the reads target, and the seed used."""
-        return {"sampler": self.name, "beta": 1.0, "seed": seed}
-
-    def sample(self, model, x, reads=None, seed=None):
-        """Aggregated reads for one clamped input."""
-        reads, seed = self._resolve(reads, seed)
-        x = np.asarray(x, dtype=np.float64)
-        raw = self.sample_batch(model, x[None, :], reads, seed)[0]
-        return SampleSet.from_reads(raw, model.n_hidden, self.metadata(model, x, seed))
 
     def _resolve(self, reads, seed):
         if reads is None:
@@ -176,10 +144,6 @@ class Sampler:
         if reads < 1:
             raise ValueError("reads must be >= 1")
         return int(reads), int(seed)
-
-
-def _rows(xs):
-    return np.atleast_2d(np.asarray(xs, dtype=np.float64))
 
 
 class ExactSampler(Sampler):
@@ -196,7 +160,7 @@ class ExactSampler(Sampler):
         reads, seed = self._resolve(reads, seed)
         rng = rng_from_seed(seed)
         batch = []
-        for x in _rows(xs):
+        for x in np.atleast_2d(np.asarray(xs, dtype=np.float64)):
             dist = self.distribution(model, x)
             batch.append(np.repeat(dist.states, rng.multinomial(reads, dist.probs), axis=0))
         return np.stack(batch)
@@ -212,21 +176,6 @@ class GibbsSampler(Sampler):
         cfg = self.config
         return gibbs_block(pre_activation(model, xs), model.w2, model.c, reads, cfg.burn_in, cfg.thin, seed)
 
-    def metadata(self, model, x, seed):
-        return {**super().metadata(model, x, seed), "burn_in": self.config.burn_in, "thin": self.config.thin}
-
-
-def layer_coupling(ising, n_hidden):
-    """The hidden-output block J[:K, K:] of a clamped Ising model.
-
-    Raises ValueError when J couples two hidden or two output units: the
-    layer-block anneal would then sample the wrong distribution.
-    """
-    j = ising.j
-    if np.any(j[:n_hidden, :n_hidden]) or np.any(j[n_hidden:, n_hidden:]):
-        raise ValueError("Ising couplings within a layer: the layer-block anneal needs a bipartite hidden-output graph")
-    return j[:n_hidden, n_hidden:]
-
 
 class SimAnnealSampler(Sampler):
     """Quantum-annealer stand-in on the encoded and clamped Ising model.
@@ -238,30 +187,10 @@ class SimAnnealSampler(Sampler):
 
     name = "simanneal"
 
-    def prepare(self, model, x):
-        """The hardware-programming pipeline; returns (ising, clamp report)."""
-        bqm = build_conditional_bqm(model, x, self.config.beta_eff)
-        return clamp_to_hardware(bqm_to_ising(bqm))
-
     def sample_batch(self, model, xs, reads=None, seed=None):
         reads, seed = self._resolve(reads, seed)
-        prepared = [self.prepare(model, x)[0] for x in _rows(xs)]
-        # x enters only the fields; the couplings come from W2 alone, so
-        # every row shares the first row's.
-        coupling = layer_coupling(prepared[0], model.n_hidden)
-        h_rows = np.stack([ising.h for ising in prepared])
+        h_rows, coupling = clamped_ising_rows(model, pre_activation(model, xs), self.config.beta_eff)
         return anneal_block(h_rows, coupling, self.config.anneal_betas(), reads, seed)
-
-    def metadata(self, model, x, seed):
-        _, report = self.prepare(model, x)
-        return {
-            "sampler": self.name,
-            "beta": self.config.effective_beta_sim,
-            "beta_eff": self.config.beta_eff,
-            "seed": seed,
-            "clipped_coefficients": len(report),
-            "max_clip_shift": report.max_shift,
-        }
 
 
 SAMPLERS = {cls.name: cls for cls in (ExactSampler, GibbsSampler, SimAnnealSampler)}

@@ -1,5 +1,6 @@
-"""Shared fixtures: seeded model factories, an on-disk synthetic dataset in
-the standard four-file layout, and a locator for the real digit corpus."""
+"""Shared fixtures: seeded model factories, the dense empirical
+distribution of raw sampler reads, an on-disk synthetic dataset in the
+standard four-file layout, and a locator for the real digit corpus."""
 
 import gzip
 import os
@@ -26,6 +27,19 @@ def make_model():
         )
 
     return _make
+
+
+@pytest.fixture
+def empirical_distribution():
+    """Dense empirical probabilities of raw (reads, width) bit rows over
+    all 2^width joint states, indexed with bit 0 least significant."""
+
+    def _dense(reads):
+        reads = np.asarray(reads, dtype=np.int64)
+        index = reads @ (1 << np.arange(reads.shape[1], dtype=np.int64))
+        return np.bincount(index, minlength=2 ** reads.shape[1]) / reads.shape[0]
+
+    return _dense
 
 
 def _synthetic_images(count, labels, rng, side=6):

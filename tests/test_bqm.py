@@ -20,11 +20,13 @@ from ebmlp.bqm import (
     bqm_to_text,
     build_conditional_bqm,
     clamp_to_hardware,
+    clamped_ising_rows,
     ising_to_bqm,
     ising_to_text,
 )
 from ebmlp.core import rng_from_seed
 from ebmlp.ebm import enumerate_states, exact_conditional, state_energies
+from ebmlp.mlp import pre_activation
 from ebmlp.models import Model
 
 
@@ -132,6 +134,33 @@ class TestBuildConditionalBqm:
         model = make_model(n=3)
         with pytest.raises(ValueError, match="x has shape"):
             build_conditional_bqm(model, np.zeros(4), 1.0)
+
+
+class TestClampedIsingRows:
+    """The annealer's closed form, pinned against the per-input pipeline
+    build_conditional_bqm -> bqm_to_ising -> clamp_to_hardware."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("std, clipping", [(0.5, False), (20.0, True)])
+    def test_matches_the_pipeline(self, make_model, m, std, clipping):
+        k, beta = 5, 4.0
+        model = make_model(n=6, k=k, m=m, seed=80 + m, std=std)
+        xs = rng_from_seed(90 + m).random((4, 6))
+        h_rows, coupling = clamped_ising_rows(model, pre_activation(model, xs), beta)
+        pipeline = [clamp_to_hardware(bqm_to_ising(build_conditional_bqm(model, x, beta))) for x in xs]
+        assert any(report for _, report in pipeline) == clipping
+        ref_h = np.stack([ising.h for ising, _ in pipeline])
+        for ising, _ in pipeline:
+            # bipartite: the only couplings join a hidden unit to an output
+            assert not np.any(ising.j[:k, :k]) and not np.any(ising.j[k:, k:])
+            np.testing.assert_array_equal(ising.j[:k, k:], pipeline[0][0].j[:k, k:])
+        ref_j = pipeline[0][0].j[:k, k:]
+        # the batched product rounds apart from the per-input w1 @ x in the
+        # last bits; the annealer casts both to float32 first
+        np.testing.assert_allclose(h_rows, ref_h, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(coupling, ref_j, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(h_rows.astype(np.float32), ref_h.astype(np.float32))
+        np.testing.assert_array_equal(coupling.astype(np.float32), ref_j.astype(np.float32))
 
 
 class TestIsingConversion:

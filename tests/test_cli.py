@@ -193,6 +193,14 @@ class TestTrainCommand:
         assert "conditional BQM" in dump
         assert "# exact Ising conversion" in dump
 
+    def test_rerun_without_dump_bqm_removes_the_old_dump(self, capsys, config_file, tmp_path):
+        config = str(config_file(runs="redump"))
+        dump = tmp_path / "redump" / "bqm_dump.txt"
+        code, _, _ = run_cli(capsys, "train", "--track", "classical1", "--config", config, "--seed", "1", "--dump-bqm")
+        assert code == 0 and dump.exists()
+        code, _, _ = run_cli(capsys, "train", "--track", "classical1", "--config", config, "--seed", "2")
+        assert code == 0 and not dump.exists()
+
     def test_missing_data_dir_is_json_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "train", "--track", "classical1", "--data_dir", str(tmp_path / "nowhere")

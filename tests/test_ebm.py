@@ -31,7 +31,7 @@ from ebmlp.ebm import (
     train_ebm,
 )
 from ebmlp.models import GradientSet, Model
-from ebmlp.samplers import ExactSampler, GibbsSampler, SampleSet, SamplerConfig, SimAnnealSampler
+from ebmlp.samplers import ExactSampler, GibbsSampler, SamplerConfig, SimAnnealSampler
 from ebmlp.training import TrainOptions
 
 
@@ -378,20 +378,22 @@ class TestSampledNegativePhase:
 
 
 def aggregated_negative_phase(model, x, raw, use_sampled_hidden):
-    """Reference negative phase: each example's raw reads collapsed into a
-    SampleSet, then weighted by unique assignment or unique y pattern."""
+    """Reference negative phase: each example's raw reads collapsed with
+    np.unique into unique assignments (or unique y patterns) with their
+    empirical weights."""
     kk = model.n_hidden
     terms = []
     for xi, reads in zip(x, raw):
-        ss = SampleSet.from_reads(reads, kk)
         if use_sampled_hidden:
-            weights = ss.weights()
-            k_bits = ss.assignments[:, :kk].astype(float)
-            y_bits = ss.assignments[:, kk:].astype(float)
+            rows, counts = np.unique(reads, axis=0, return_counts=True)
+            weights = counts / reads.shape[0]
+            k_bits = rows[:, :kk].astype(float)
+            y_bits = rows[:, kk:].astype(float)
             s_bar = weights @ k_bits
             terms.append((np.outer(s_bar, xi), (y_bits * weights[:, None]).T @ k_bits, s_bar, weights @ y_bits))
         else:
-            patterns, weights = ss.y_distribution()
+            patterns, counts = np.unique(reads[:, kk:], axis=0, return_counts=True)
+            patterns, weights = patterns.astype(float), counts / reads.shape[0]
             s = sigmoid(model.w1 @ xi + model.b + patterns @ model.w2)
             s_bar = weights @ s
             terms.append((np.outer(s_bar, xi), (patterns * weights[:, None]).T @ s, s_bar, weights @ patterns))

@@ -1,4 +1,4 @@
-"""Sampler configuration, sample aggregation, and the three samplers'
+"""Sampler configuration, read aggregation, and the three samplers'
 agreement with the exact conditional.
 
 The stationarity oracle assembles the block-update transition matrix with
@@ -15,19 +15,12 @@ import pytest
 
 import ebmlp
 from ebmlp._kernels import anneal_block, gibbs_block, gibbs_chain
-from ebmlp.bqm import IsingModel
+from ebmlp.bqm import H_RANGE, J_RANGE, bqm_to_ising, build_conditional_bqm, clamp_to_hardware, clamped_ising_rows
 from ebmlp.core import rng_from_seed, sigmoid
 from ebmlp.ebm import exact_conditional
+from ebmlp.mlp import pre_activation
 from ebmlp.models import Model
-from ebmlp.samplers import (
-    ExactSampler,
-    GibbsSampler,
-    SamplerConfig,
-    SampleSet,
-    SimAnnealSampler,
-    layer_coupling,
-    make_sampler,
-)
+from ebmlp.samplers import ExactSampler, GibbsSampler, SamplerConfig, SampleSet, SimAnnealSampler, make_sampler
 
 
 @pytest.fixture(params=["numpy"])
@@ -107,23 +100,13 @@ class TestSampleSet:
         row = np.flatnonzero(np.all(ss.assignments == [0, 1], axis=1))[0]
         assert int(ss.counts[row]) == 2
 
-    def test_weights_sum_to_one(self):
+    def test_weights_sum_to_one(self, empirical_distribution):
         raw = (rng_from_seed(1).random((100, 3)) < 0.5).astype(np.uint8)
-        ss = SampleSet.from_reads(raw, n_hidden=2)
-        assert math.isclose(float(ss.weights().sum()), 1.0, abs_tol=1e-12)
+        assert math.isclose(float(empirical_distribution(raw).sum()), 1.0, abs_tol=1e-12)
 
-    def test_y_distribution_marginalizes_hidden(self):
-        raw = np.array([[0, 1], [1, 1], [0, 0], [1, 1]], dtype=np.uint8)
-        ss = SampleSet.from_reads(raw, n_hidden=1)
-        patterns, w = ss.y_distribution()
-        assert patterns.shape[1] == 1
-        got = {float(p[0]): float(wi) for p, wi in zip(patterns, w)}
-        assert math.isclose(got[1.0], 0.75, abs_tol=1e-12)
-        assert math.isclose(got[0.0], 0.25, abs_tol=1e-12)
-
-    def test_empirical_probabilities_lsb_index(self):
+    def test_empirical_probabilities_lsb_index(self, empirical_distribution):
         raw = np.array([[1, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-        dense = SampleSet.from_reads(raw, n_hidden=1).empirical_probabilities(2)
+        dense = empirical_distribution(raw)
         # bit 0 is least significant: [1,0] -> 1, [0,1] -> 2, [1,1] -> 3
         np.testing.assert_allclose(dense, [0.0, 0.5, 0.25, 0.25], atol=1e-12)
 
@@ -229,16 +212,15 @@ class TestGibbsKernel:
             assert abs(freq_k - float(sigmoid(a_rows[p, 0]))) < 0.02
             assert abs(freq_y - float(sigmoid(-0.8))) < 0.02
 
-    def test_block_matches_chain_distribution(self, make_model):
+    def test_block_matches_chain_distribution(self, make_model, empirical_distribution):
         model = make_model(n=2, k=2, m=1, seed=13)
         xs = rng_from_seed(14).random((3, 2))
         a_rows = xs @ model.w1.T + model.b
         block = gibbs_block(a_rows, model.w2, model.c, 4000, 50, 1, 9)
         assert block.shape == (3, 4000, 3)
         for p in range(3):
-            ss = SampleSet.from_reads(block[p], n_hidden=2)
             pi = dense_conditional(model, xs[p])
-            assert tv_distance(ss.empirical_probabilities(3), pi) < 0.05
+            assert tv_distance(empirical_distribution(block[p]), pi) < 0.05
 
     def test_chain_is_one_row_block(self):
         args = (np.array([[0.3, 0.1]]), np.array([-0.2]), 30, 4, 2, 5)
@@ -248,13 +230,13 @@ class TestGibbsKernel:
         )
 
 
-def clamped_fields(model, xs, beta_eff):
+def unclipped_fields(model, xs, beta_eff):
     """Ising field rows and the shared hidden-output coupling, as the
-    annealer programs them."""
-    sampler = SimAnnealSampler(SamplerConfig(beta_eff=beta_eff))
-    prepared = [sampler.prepare(model, x) for x in xs]
-    assert not any(report for _, report in prepared)
-    return np.stack([ising.h for ising, _ in prepared]), layer_coupling(prepared[0][0], model.n_hidden)
+    annealer programs them, checked to lie strictly inside the hardware
+    ranges, so that no coefficient was clipped."""
+    h_rows, coupling = clamped_ising_rows(model, pre_activation(model, xs), beta_eff)
+    assert np.abs(h_rows).max() < H_RANGE[1] and np.abs(coupling).max() < J_RANGE[1]
+    return h_rows, coupling
 
 
 @pytest.mark.usefixtures("kernels")
@@ -275,17 +257,16 @@ class TestAnnealKernel:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, anneal_block(h_rows, coupling, betas, 64, 12))
 
-    def test_each_row_matches_its_conditional(self, make_model):
+    def test_each_row_matches_its_conditional(self, make_model, empirical_distribution):
         # three clamped inputs in one call; beta_sim = beta_eff and no
         # clipping, so every row targets exactly its own conditional
         model = make_model(n=2, k=2, m=1, seed=25)
         xs = rng_from_seed(26).random((3, 2))
-        h_rows, coupling = clamped_fields(model, xs, 16.0)
+        h_rows, coupling = unclipped_fields(model, xs, 16.0)
         raw = anneal_block(h_rows, coupling, np.geomspace(0.1, 16.0, 300), 40000, 27)
         assert raw.shape == (3, 40000, 3)
         for p in range(3):
-            ss = SampleSet.from_reads(raw[p], n_hidden=2)
-            assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, xs[p])) < 0.05
+            assert tv_distance(empirical_distribution(raw[p]), dense_conditional(model, xs[p])) < 0.05
 
     def test_one_sweep_follows_the_metropolis_rule(self):
         # zero coupling and one sweep at a fixed beta; the same seed with no
@@ -407,80 +388,68 @@ class TestAnnealKernelBytes:
 
 @pytest.mark.usefixtures("kernels")
 class TestSamplersAgainstExact:
-    def test_zero_model_uniform(self):
+    def test_zero_model_uniform(self, empirical_distribution):
         model = Model.zeros(2, 2, 1)
         x = np.zeros(2)
         uniform = np.full(8, 1.0 / 8.0)
         for name, tol in (("exact", 0.02), ("gibbs", 0.02), ("simanneal", 0.05)):
             cfg = SamplerConfig(reads=20000, burn_in=50, anneal_sweeps=100, seed=21)
-            ss = make_sampler(name, cfg).sample(model, x)
-            assert tv_distance(ss.empirical_probabilities(3), uniform) < tol, name
+            raw = make_sampler(name, cfg).sample_batch(model, x[None, :])[0]
+            assert tv_distance(empirical_distribution(raw), uniform) < tol, name
 
-    def test_gibbs_matches_conditional(self, make_model):
+    def test_gibbs_matches_conditional(self, make_model, empirical_distribution):
         model = make_model(n=2, k=2, m=1, seed=22)
         x = rng_from_seed(23).random(2)
         cfg = SamplerConfig(reads=60000, burn_in=100, seed=24)
-        ss = GibbsSampler(cfg).sample(model, x)
-        assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, x)) < 0.02
+        raw = GibbsSampler(cfg).sample_batch(model, x[None, :])[0]
+        assert tv_distance(empirical_distribution(raw), dense_conditional(model, x)) < 0.02
 
-    def test_simanneal_matches_conditional(self, make_model):
+    def test_simanneal_matches_conditional(self, make_model, empirical_distribution):
         # beta_sim = beta_eff and coefficients inside hardware range: the
         # anneal targets exactly the encoded conditional
         model = make_model(n=2, k=2, m=1, seed=25)
         x = rng_from_seed(26).random(2)
         cfg = SamplerConfig(beta_eff=16.0, reads=40000, anneal_sweeps=300, seed=27)
-        sampler = SimAnnealSampler(cfg)
-        _, report = sampler.prepare(model, x)
-        assert not report
-        ss = sampler.sample(model, x)
-        assert ss.metadata["clipped_coefficients"] == 0
-        assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, x)) < 0.05
+        unclipped_fields(model, x[None, :], cfg.beta_eff)
+        raw = SimAnnealSampler(cfg).sample_batch(model, x[None, :])[0]
+        assert tv_distance(empirical_distribution(raw), dense_conditional(model, x)) < 0.05
 
     def test_sampler_determinism(self, make_model):
         model = make_model(n=2, k=1, m=1, seed=28)
         x = np.array([0.3, 0.6])
         for name in ("exact", "gibbs", "simanneal"):
             cfg = SamplerConfig(reads=500, anneal_sweeps=50, seed=31)
-            a = make_sampler(name, cfg).sample(model, x)
-            b = make_sampler(name, cfg).sample(model, x)
-            np.testing.assert_array_equal(a.assignments, b.assignments)
-            np.testing.assert_array_equal(a.counts, b.counts)
+            a = make_sampler(name, cfg).sample_batch(model, x[None, :])
+            b = make_sampler(name, cfg).sample_batch(model, x[None, :])
+            np.testing.assert_array_equal(a, b)
 
 
 class TestSamplerPlumbing:
-    def test_exact_sampler_distribution_and_convergence(self, make_model):
+    def test_exact_sampler_distribution_and_convergence(self, make_model, empirical_distribution):
         model = make_model(n=2, k=2, m=1, seed=32)
         x = rng_from_seed(33).random(2)
         sampler = ExactSampler(SamplerConfig(reads=200000, seed=34))
-        ss = sampler.sample(model, x)
-        assert tv_distance(ss.empirical_probabilities(3), dense_conditional(model, x)) < 0.01
+        raw = sampler.sample_batch(model, x[None, :])[0]
+        assert tv_distance(empirical_distribution(raw), dense_conditional(model, x)) < 0.01
 
     def test_reads_and_seed_override(self, make_model):
         model = make_model(n=2, k=1, m=1, seed=35)
-        x = np.zeros(2)
-        sampler = ExactSampler(SamplerConfig(reads=10, seed=0))
-        ss = sampler.sample(model, x, reads=77, seed=5)
-        assert ss.total_reads == 77
-        assert ss.metadata["seed"] == 5
+        xs = np.zeros((1, 2))
+        raw = ExactSampler(SamplerConfig(reads=10, seed=0)).sample_batch(model, xs, reads=77, seed=5)
+        assert raw.shape == (1, 77, 2)
+        np.testing.assert_array_equal(raw, ExactSampler(SamplerConfig(reads=77, seed=5)).sample_batch(model, xs))
 
-    def test_metadata_fields(self, make_model):
-        model = make_model(n=2, k=1, m=1, seed=36)
-        x = np.zeros(2)
-        gibbs = GibbsSampler(SamplerConfig(reads=10, burn_in=3, thin=2, seed=1))
-        meta = gibbs.sample(model, x).metadata
-        assert meta["sampler"] == "gibbs" and meta["burn_in"] == 3 and meta["thin"] == 2
-        anneal = SimAnnealSampler(SamplerConfig(reads=10, anneal_sweeps=20, beta_eff=4.0, seed=1))
-        meta = anneal.sample(model, x).metadata
-        assert meta["sampler"] == "simanneal"
-        assert meta["beta"] == 4.0 and meta["beta_eff"] == 4.0
-
-    def test_clip_metadata_on_extreme_weights(self):
-        # a huge bias pushes h outside the programmable window
+    def test_clipped_fields_on_extreme_weights(self):
+        # a huge bias pushes the hidden field outside the programmable
+        # window; the annealer programs the clipped value, as the
+        # reference pipeline's clip report says
         model = Model(np.zeros((1, 2)), np.zeros((1, 1)), np.array([200.0]), np.zeros(1))
+        h_rows, _ = clamped_ising_rows(model, pre_activation(model, np.zeros((1, 2))), 1.0)
+        np.testing.assert_array_equal(h_rows, [[H_RANGE[1], 0.0]])
+        _, report = clamp_to_hardware(bqm_to_ising(build_conditional_bqm(model, np.zeros(2), 1.0)))
+        assert [clip.index for clip in report.clips] == [(0,)] and report.max_shift > 0.0
         sampler = SimAnnealSampler(SamplerConfig(beta_eff=1.0, reads=10, anneal_sweeps=10, seed=2))
-        ss = sampler.sample(model, np.zeros(2))
-        assert ss.metadata["clipped_coefficients"] >= 1
-        assert ss.metadata["max_clip_shift"] > 0.0
+        assert sampler.sample_batch(model, np.zeros((1, 2))).shape == (1, 10, 2)
 
     def test_registry(self):
         assert isinstance(make_sampler("exact"), ExactSampler)
@@ -492,7 +461,7 @@ class TestSamplerPlumbing:
     def test_invalid_reads_rejected(self, make_model):
         sampler = ExactSampler(SamplerConfig())
         with pytest.raises(ValueError, match="reads"):
-            sampler.sample(make_model(), np.zeros(3), reads=0)
+            sampler.sample_batch(make_model(), np.zeros((1, 3)), reads=0)
 
 
 class TestSampleBatch:
@@ -506,35 +475,8 @@ class TestSampleBatch:
         np.testing.assert_array_equal(a, sampler.sample_batch(model, xs, seed=4))
         assert not np.array_equal(a, sampler.sample_batch(model, xs, seed=5))
 
-    def test_gibbs_rejects_wrong_input_width(self, make_model):
-        sampler = GibbsSampler(SamplerConfig(reads=10, burn_in=1))
+    @pytest.mark.parametrize("name", ["exact", "gibbs", "simanneal"])
+    def test_rejects_wrong_input_width(self, name, make_model):
+        sampler = make_sampler(name, SamplerConfig(reads=10, burn_in=1, anneal_sweeps=5))
         with pytest.raises(ValueError, match="features"):
             sampler.sample_batch(make_model(n=3, k=2, m=1), np.zeros((2, 4)))
-
-    def test_sample_aggregates_one_row_batch(self, make_model):
-        model = make_model(n=2, k=2, m=1, seed=39)
-        x = np.array([0.2, 0.9])
-        sampler = GibbsSampler(SamplerConfig(reads=300, burn_in=5, seed=6))
-        ss = sampler.sample(model, x)
-        ref = SampleSet.from_reads(sampler.sample_batch(model, x[None, :])[0], n_hidden=2)
-        np.testing.assert_array_equal(ss.assignments, ref.assignments)
-        np.testing.assert_array_equal(ss.counts, ref.counts)
-
-    def test_non_bipartite_ising_rejected(self, make_model):
-        class WithinLayerCoupling(SimAnnealSampler):
-            def prepare(self, model, x):
-                ising, report = super().prepare(model, x)
-                j = ising.j.copy()
-                j[0, 1] = 0.1  # hidden unit 0 coupled to hidden unit 1
-                return IsingModel(ising.n, ising.h, j, ising.offset), report
-
-        model = make_model(n=2, k=2, m=1, seed=40)
-        sampler = WithinLayerCoupling(SamplerConfig(reads=10, anneal_sweeps=5))
-        with pytest.raises(ValueError, match="bipartite"):
-            sampler.sample_batch(model, np.zeros((2, 2)))
-        star = np.zeros((3, 3))
-        star[0, 1:] = 0.1  # unit 0 coupled to units 1 and 2
-        ising = IsingModel(3, np.zeros(3), star)
-        np.testing.assert_array_equal(layer_coupling(ising, 1), [[0.1, 0.1]])
-        with pytest.raises(ValueError, match="bipartite"):
-            layer_coupling(ising, 2)
