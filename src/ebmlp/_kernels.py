@@ -10,9 +10,35 @@ numpy PCG64 Generator and are reproducible per seed; the layout of the
 stream depends on the batch shape, so a row sampled alone and the same row
 sampled inside a batch get different (equally valid) reads. These numpy
 kernels are the only implementation; nothing selects between kernels.
+
+The anneal kernel loops over its sweeps. The Gibbs kernel has no loop
+over sweeps: a sweep's hidden update reads the previous sweep only
+through the output bits y, so with its noise drawn a sweep is a map from
+each of the 2^M output patterns to the next one. The kernel draws the
+noise of a chunk of sweeps in one call, builds every sweep's map from the
+candidate hidden bits under each pattern, composes the maps with a
+log-depth prefix scan (Hillis and Steele; see Blelloch, "Prefix Sums and
+Their Applications", CMU-CS-90-190, 1990) and gathers the recorded bits.
+It takes the draws of a loop of single sweeps in the same order and
+computes the same fields, so it returns that loop's bytes. A chunk holds
+at most about ``_CHUNK_BYTES`` of float64 candidates and fields, whatever
+the number of reads.
 """
 
 import numpy as np
+
+# Byte budget of one chunk of Gibbs sweeps: its float64 candidate hidden
+# bits and output fields, 8 * 2^M * points * (K+M) bytes per sweep. The
+# noise, bool candidates and maps of the chunk are smaller.
+_CHUNK_BYTES = 1 << 22
+
+
+def _pattern_index(bits):
+    """The output pattern of each row of bits: bit m of the index is y_m."""
+    index = bits[..., 0].astype(np.intp)
+    for m in range(1, bits.shape[-1]):
+        index |= bits[..., m] << m
+    return index
 
 
 def gibbs_block(a_rows, w2, c, reads, burn_in, thin, seed):
@@ -23,27 +49,97 @@ def gibbs_block(a_rows, w2, c, reads, burn_in, thin, seed):
     with y | k ~ Bernoulli(sigmoid(W2 k + c)); it discards burn_in sweeps,
     then records every thin-th sweep. Returns (points, reads, K+M) uint8,
     k bits first.
+
+    u < sigmoid(z) exactly when logit(u) < z, and logit(u) of a uniform u
+    is standard logistic noise, so each bit is one comparison of a
+    logistic draw with its field. Stream order: uniforms for the starting
+    k bits (skipped with ``advance``: every sweep redraws k before reading
+    it) and y bits, then per sweep the (points, K) hidden noise and the
+    (points, M) output noise. The sweeps run in chunks, with P = 2^M
+    output patterns y_p; per chunk:
+
+    - noise: one (sweeps, points*(K+M)) logistic draw, each row split into
+      its hidden and output parts, which is the per-sweep stream order;
+    - candidates: for every pattern, the hidden bits of every sweep are
+      one comparison of the hidden noise with a + y_p W2;
+    - maps: the candidates' output fields W2 k + c are one stacked product
+      of (points, K) blocks, the shape a single sweep multiplies; compared
+      with the output noise they give, per sweep and point, the pattern
+      after the sweep for each pattern before it;
+    - scan: an inclusive Hillis-Steele scan composes the maps in
+      ceil(log2 sweeps) passes over (sweeps, P, points) indices; applied
+      to the pattern carried into the chunk, it gives the pattern before
+      and after every sweep;
+    - records: each recorded sweep's k and y bits are the candidate bits
+      of the pattern before it, gathered in one take.
+
+    y_p W2 sums at most M exact products (y is 0 or 1): for M <= 2 every
+    order of that sum gives the same bits, and for larger M the product
+    adds in BLAS's order, as the single-sweep product does. So the fields,
+    and with them the bits, are those of a loop of single sweeps.
+
+    A chunk has at most max(1, _CHUNK_BYTES // (8 * P * points * (K+M)))
+    sweeps (the default run of 1100 sweeps of 5 points with K=32 and M=1
+    is one chunk), so memory is bounded whatever ``reads`` is; the work
+    per sweep grows as 2^M.
     """
     a_rows = np.ascontiguousarray(np.atleast_2d(a_rows), dtype=np.float64)
     w2 = np.ascontiguousarray(w2, dtype=np.float64)
     c = np.ascontiguousarray(c, dtype=np.float64)
     if reads < 1:
         raise ValueError("reads must be >= 1")
-    rng = np.random.default_rng(int(seed))
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
     n_points, kk = a_rows.shape
     mm = c.shape[0]
-    k = (rng.random((n_points, kk)) < 0.5).astype(np.float64)
-    y = (rng.random((n_points, mm)) < 0.5).astype(np.float64)
+    if mm < 1:
+        raise ValueError("c must hold at least one output field")
+    rng = np.random.default_rng(int(seed))
+    n_patterns = 1 << mm
+    bits = np.arange(mm)
+    # a + y_p W2 for every pattern and point: (P, points, K)
+    k_fields = a_rows + (((np.arange(n_patterns)[:, None] >> bits) & 1).astype(np.float64) @ w2)[:, None, :]
+    # the starting k bits, one PCG64 word each, are never read
+    rng.bit_generator.advance(n_points * kk)
+    # a pattern p is held as p * points, the offset of its rows in a sweep's
+    # (P, points) block, so that every gather below is one add and a take
+    y = _pattern_index(rng.random((n_points, mm)) < 0.5) * n_points
     out = np.empty((n_points, reads, kk + mm), np.uint8)
-    # u < sigmoid(z) exactly when logit(u) < z, and logit(u) of a uniform u
-    # is standard logistic noise: one draw and one comparison per bit.
-    for sweep in range(1, burn_in + reads * thin + 1):
-        k = (rng.logistic(size=(n_points, kk)) < a_rows + y @ w2).astype(np.float64)
-        y = (rng.logistic(size=(n_points, mm)) < k @ w2.T + c).astype(np.float64)
-        rec, off = divmod(sweep - burn_in, thin)
-        if sweep > burn_in and off == 0:
-            out[:, rec - 1, :kk] = k
-            out[:, rec - 1, kk:] = y
+    total = burn_in + reads * thin
+    chunk = max(1, _CHUNK_BYTES // max(1, 8 * n_patterns * n_points * (kk + mm)))
+    for start in range(0, total, chunk):
+        sweeps = min(chunk, total - start)
+        noise = rng.logistic(size=(sweeps, n_points * (kk + mm)))
+        k_noise = noise[:, : n_points * kk].reshape(sweeps, 1, n_points, kk)
+        y_noise = noise[:, n_points * kk :].reshape(sweeps, 1, n_points, mm)
+        # cand[t, p, i]: the k and y bits sweep t gives point i if the
+        # pattern before the sweep is p
+        cand = np.empty((sweeps, n_patterns, n_points, kk + mm), bool)
+        np.less(k_noise, k_fields, out=cand[..., :kk])
+        y_fields = cand[..., :kk].astype(np.float64, order="C") @ w2.T
+        y_fields += c
+        np.less(y_noise, y_fields, out=cand[..., kk:])
+        # maps[t, p, i]: point i's pattern after sweep t if it was p before,
+        # as an offset like y; (t, p, i) is row base[t, 0, i] + p * points
+        maps = _pattern_index(cand[..., kk:]) * n_points
+        base = np.arange(sweeps)[:, None, None] * (n_patterns * n_points) + np.arange(n_points)
+        span = 1
+        while span < sweeps:
+            # maps[t] becomes maps[t] after maps[t - span]; every index is
+            # in range, so "clip" only skips the bounds check
+            maps[span:] = maps.take(maps[:-span] + base[span:], mode="clip")
+            span *= 2
+        after = maps.take(base[:, 0] + y)
+        before = np.concatenate((y[None], after[:-1]))
+        # read r is sweep burn_in + thin * (r + 1); done counts the sweeps
+        # past burn-in that ran before this chunk
+        done = start - burn_in
+        first, stop = max(0, done // thin), max(0, (done + sweeps) // thin)
+        t = np.arange(thin * (first + 1) - done - 1, sweeps, thin)
+        out[:, first:stop] = cand.reshape(-1, kk + mm).take(base[t, 0] + before[t], axis=0).transpose(1, 0, 2)
+        y = after[-1]
     return out
 
 

@@ -250,9 +250,15 @@ def _config_dict(config):
 
 def run_equivalence(config, train_set=None, test_set=None):
     """Equivalence track: lockstep training plus report files in the
-    output directory (equivalence.csv / equivalence.json)."""
+    output directory (equivalence.csv / equivalence.json). Both files are
+    removed before training, so a run that raises, or stops between the
+    two writes, never leaves an earlier run's report beside its own."""
     if train_set is None or test_set is None:
         train_set, test_set = load_task(config)
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in (out / "equivalence.csv", out / "equivalence.json"):
+        stale.unlink(missing_ok=True)
     sampler = GibbsSampler(config.sampler_config(sampler_seed(config.seed)))
     report = run_equivalence_experiment(
         train_set,
@@ -262,8 +268,6 @@ def run_equivalence(config, train_set=None, test_set=None):
         sampler=sampler,
         init_std=config.init_std,
     )
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "equivalence.csv")
     report.to_json(out / "equivalence.json")
     return report

@@ -6,6 +6,7 @@ import json
 import math
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +295,22 @@ class TestRunEquivalence:
         assert payload["series"]["step"] == [0, 1, 2, 3]
         header = open(f"{out}/equivalence.csv").readline().strip().split(",")
         assert header[0] == "step" and "kl_nats" in header
+
+    def test_failed_run_leaves_no_earlier_report(self, small_config, monkeypatch):
+        config = small_config(track="equivalence", steps=3, n_hidden=2, reads=100)
+        out = Path(config.output_dir)
+        out.mkdir(parents=True)
+        for name in ("equivalence.csv", "equivalence.json"):
+            (out / name).write_text("from an earlier run\n")
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(experiments, "run_equivalence_experiment", fail)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_equivalence(config)
+        assert not (out / "equivalence.csv").exists()
+        assert not (out / "equivalence.json").exists()
 
 
 class TestBqmDump:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ebmlp
+from ebmlp import _kernels
 from ebmlp._kernels import anneal_block, gibbs_block, gibbs_chain
 from ebmlp.bqm import H_RANGE, J_RANGE, bqm_to_ising, build_conditional_bqm, clamp_to_hardware, clamped_ising_rows
 from ebmlp.core import rng_from_seed, sigmoid
@@ -228,6 +229,81 @@ class TestGibbsKernel:
             gibbs_chain(np.array([0.7, -0.1]), *args),
             gibbs_block(np.array([[0.7, -0.1]]), *args)[0],
         )
+
+    @pytest.mark.parametrize(
+        "reads, burn_in, thin, match",
+        [(0, 3, 1, "reads"), (4, -2, 1, "burn_in"), (4, 3, 0, "thin"), (4, 0, 0, "thin")],
+    )
+    def test_run_lengths_checked(self, reads, burn_in, thin, match):
+        with pytest.raises(ValueError, match=match):
+            gibbs_block(np.zeros((2, 3)), np.zeros((1, 3)), np.zeros(1), reads, burn_in, thin, 1)
+
+    def test_output_layer_required(self):
+        with pytest.raises(ValueError, match="output field"):
+            gibbs_block(np.zeros((2, 3)), np.zeros((0, 3)), np.zeros(0), 4, 3, 1, 1)
+
+
+def reference_gibbs_block(a_rows, w2, c, reads, burn_in, thin, seed):
+    """``gibbs_block`` as first written, one sweep at a time: a hidden block
+    update from ``rng.logistic`` noise and ``a + y @ W2``, then an output
+    block update from ``k @ W2^T + c``. The kernel must return its bytes."""
+    a_rows = np.ascontiguousarray(np.atleast_2d(a_rows), dtype=np.float64)
+    w2 = np.ascontiguousarray(w2, dtype=np.float64)
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    rng = np.random.default_rng(int(seed))
+    n_points, kk = a_rows.shape
+    mm = c.shape[0]
+    k = (rng.random((n_points, kk)) < 0.5).astype(np.float64)
+    y = (rng.random((n_points, mm)) < 0.5).astype(np.float64)
+    out = np.empty((n_points, reads, kk + mm), np.uint8)
+    for sweep in range(1, burn_in + reads * thin + 1):
+        k = (rng.logistic(size=(n_points, kk)) < a_rows + y @ w2).astype(np.float64)
+        y = (rng.logistic(size=(n_points, mm)) < k @ w2.T + c).astype(np.float64)
+        rec, off = divmod(sweep - burn_in, thin)
+        if sweep > burn_in and off == 0:
+            out[:, rec - 1, :kk] = k
+            out[:, rec - 1, kk:] = y
+    return out
+
+
+class TestGibbsKernelBytes:
+    """The kernel returns the reference's reads byte for byte: the same
+    logistic draws in the same order, the same fields and the same
+    comparisons, also when a call runs over many chunks of sweeps."""
+
+    @staticmethod
+    def _inputs(kk, mm, points):
+        rng = rng_from_seed([kk, mm, points])
+        return rng.normal(size=(points, kk)), rng.normal(scale=0.6, size=(mm, kk)), rng.normal(size=mm)
+
+    @pytest.mark.parametrize(
+        "kk, mm, points, reads, burn_in, thin",
+        [
+            (32, 1, 5, 300, 100, 1),  # the training shape, with fewer reads
+            (8, 2, 3, 50, 7, 3),
+            (6, 3, 4, 333, 0, 1),  # no burn-in: the first sweep is read 0
+            (5, 3, 2, 40, 3, 2),
+            (4, 1, 1, 1, 100, 1),  # one point, one read
+            (7, 2, 1, 1, 0, 4),
+        ],
+    )
+    def test_matches_the_reference(self, kk, mm, points, reads, burn_in, thin):
+        a_rows, w2, c = self._inputs(kk, mm, points)
+        np.testing.assert_array_equal(
+            gibbs_block(a_rows, w2, c, reads, burn_in, thin, 17),
+            reference_gibbs_block(a_rows, w2, c, reads, burn_in, thin, 17),
+        )
+
+    # a chunk of 1 sweep, and of 3 sweeps (960 bytes per sweep at K=8, M=2
+    # and 3 points), so that chunk ends fall inside and outside burn-in
+    # and between the thinned reads
+    @pytest.mark.parametrize("chunk_bytes", [1, 3000])
+    @pytest.mark.parametrize("burn_in, thin", [(5, 1), (4, 3), (0, 2)])
+    def test_matches_the_reference_across_chunks(self, monkeypatch, chunk_bytes, burn_in, thin):
+        a_rows, w2, c = self._inputs(8, 2, 3)
+        expected = reference_gibbs_block(a_rows, w2, c, 61, burn_in, thin, 23)
+        monkeypatch.setattr(_kernels, "_CHUNK_BYTES", chunk_bytes)
+        np.testing.assert_array_equal(gibbs_block(a_rows, w2, c, 61, burn_in, thin, 23), expected)
 
 
 def unclipped_fields(model, xs, beta_eff):
