@@ -32,6 +32,10 @@ import numpy as np
 # noise, bool candidates and maps of the chunk are smaller.
 _CHUNK_BYTES = 1 << 22
 
+# 16 ln 2 in float32: exp(x + _LOG_2_16) is 2**16 * exp(x), the anneal
+# kernel's acceptance on the scale of its 16-bit words
+_LOG_2_16 = np.float32(16.0 * np.log(2.0))
+
 
 def _pattern_index(bits):
     """The output pattern of each row of bits: bit m of the index is y_m."""
@@ -148,27 +152,19 @@ def gibbs_chain(a, w2, c, reads, burn_in, thin, seed):
     return gibbs_block(np.asarray(a)[None], w2, c, reads, burn_in, thin, seed)[0]
 
 
-def _uniform32(bit_generator, out):
-    """Fills float32 ``out`` with uniforms on [0, 1) spaced 2**-24 apart,
-    made as ``Generator.random(dtype=np.float32)`` makes them,
-    (r >> 8) * 2**-24 for successive 32-bit halves r of the raw 64-bit
-    words; the words come from one call. After the shift every word is
-    below 2**24, so it converts exactly through int32 and the scaling is
-    an exact in-place multiply: apart from the draw itself, three passes."""
-    flat = out.reshape(-1)
-    words = bit_generator.random_raw((flat.size + 1) // 2).view(np.uint32)[: flat.size]
-    np.right_shift(words, 8, out=words)
-    np.copyto(flat, words.view(np.int32), casting="unsafe")
-    flat *= np.float32(2.0**-24)
-
-
-def _flip_where_below(spins, accept, u):
-    """Negates each spin whose uniform ``u`` is below ``accept``, leaving
-    ``u`` spent: u - accept has its sign bit set exactly when u < accept
-    (also for accept = inf; u == accept gives +0), and XOR-ing that bit
-    into a float32 spin negates it."""
-    np.subtract(u, accept, out=u)
-    sign = u.view(np.uint32)
+def _flip_below(bit_generator, spins, threshold):
+    """Negates each spin whose 16-bit word is below its ``threshold``,
+    leaving ``threshold`` spent. The words are the 16-bit quarters of
+    ceil(n / 4) raw 64-bit words from one call, four decisions per word,
+    taken in memory order (low quarter first on little-endian hosts).
+    word - threshold, computed in float32 (every word converts exactly),
+    has its sign bit set exactly when word < threshold: also for
+    threshold = inf, while word - 0 is +0; XOR-ing that bit into a float32
+    spin negates it."""
+    flat = threshold.reshape(-1)
+    words = bit_generator.random_raw((flat.size + 3) // 4).view(np.uint16)[: flat.size]
+    np.subtract(words, flat, out=flat)
+    sign = threshold.view(np.uint32)
     np.bitwise_and(sign, np.uint32(0x80000000), out=sign)
     np.bitwise_xor(spins.view(np.uint32), sign, out=spins.view(np.uint32))
 
@@ -183,11 +179,12 @@ def anneal_block(h_rows, coupling, betas, reads, seed):
     coupling within a layer. Each read starts from uniform random spins.
     Per inverse temperature in ``betas`` one sweep makes a Metropolis
     decision for every hidden spin at once, then for every output spin:
-    with flip cost dE = 2 s_i lam_i, spin i flips when
-    u < exp(-max(beta * dE, 0)) for a fresh uniform u. Within a layer the
-    local fields lam_i do not depend on each other, so this is the
-    hidden-first single-site scan in distribution. Returns
-    (points, reads, K+M) uint8 bits under q = (s + 1) / 2.
+    with flip cost dE = 2 s_i lam_i, spin i flips when w < 2**16 * p for
+    its acceptance p = exp(-beta * dE) and a fresh 16-bit word w, uniform
+    on 0 .. 2**16 - 1. Within a layer the local fields lam_i do not depend
+    on each other, so this is the hidden-first single-site scan in
+    distribution. Returns (points, reads, K+M) uint8 bits under
+    q = (s + 1) / 2.
 
     One layer update is a few passes over (points, reads, layer) float32
     arrays besides the PCG64 draw:
@@ -197,19 +194,26 @@ def anneal_block(h_rows, coupling, betas, reads, seed):
       whose rows are J^T * (-2 beta) and then h * (-2 beta), so h rides on
       the ones column; the output layer, only M wide, takes one product
       with J and then adds its h;
-    - ``*= spins``, giving -beta dE;
-    - ``exp``, with no clamp at 0: where -beta dE > 0, exp gives a value
-      >= 1 or inf, and u < 1 flips the spin in both cases, just as the
-      clamped exp(0) = 1 does, so every decision is kept;
-    - the uniforms (``_uniform32``);
-    - ``u - accept``, whose sign bit is the flip, ANDed out and XOR-ed
-      into the spins' sign bits.
+    - ``*= spins``, giving -beta dE, and ``+= 16 ln 2``;
+    - ``exp``, giving the threshold t = 2**16 * p, with no clamp: where
+      p >= 1, t >= 2**16 (or inf) exceeds every word, just as a clamped
+      p = 1 does, so every decision is kept;
+    - the words: one ``random_raw`` call of ceil(n / 4) 64-bit words
+      viewed as uint16, four decisions per word (``_flip_below``);
+    - ``w - t``, whose sign bit is the flip, ANDed out and XOR-ed into the
+      spins' sign bits.
 
-    Spins, fields, couplings and acceptance probabilities are float32 and
-    the uniforms u are multiples of 2**-24, so a flip happens with its
-    Metropolis probability up to float32 rounding: within about 2**-24,
-    from the rounding of dE and exp and the spacing of u. Downhill flips
-    (probability 1) are exact.
+    Spins, fields, couplings and thresholds are float32; 16 ln 2 in
+    float32 is off by 3e-8, so t is 2**16 * p up to float32 rounding. A
+    word w flips the spin when w < t, so a spin with p < 1 flips with
+    probability ceil(2**16 * p) / 2**16: at least p and less than p + 2**-16.
+    The edge cases:
+
+    - where exp underflows to t = 0, the spin never flips;
+    - where 0 < t <= 1 (p at most 2**-16), only w = 0 flips it, with
+      probability 2**-16;
+    - where p >= 1, including t = inf, the spin always flips, so downhill
+      and zero-cost flips are exact.
     """
     h_rows = np.ascontiguousarray(np.atleast_2d(h_rows), dtype=np.float32)
     coupling = np.ascontiguousarray(coupling, dtype=np.float32)
@@ -230,25 +234,24 @@ def anneal_block(h_rows, coupling, betas, reads, seed):
     h_k, h_y = h_rows[:, None, :kk], h_rows[:, None, kk:]
     w_aug = np.empty((n_points, mm + 1, kk), np.float32)
     k_rows = s_k.reshape(n_points * reads, kk)
-    accept_k, u_k = np.empty_like(s_k), np.empty_like(s_k)
-    accept_y, u_y = np.empty((n_points * reads, mm), np.float32), np.empty((n_points, reads, mm), np.float32)
+    accept_k, accept_y = np.empty_like(s_k), np.empty((n_points * reads, mm), np.float32)
     with np.errstate(over="ignore"):
         for beta in betas:
             scale = np.float32(-2.0 * beta)
-            # hidden: accept = exp(-beta dE) = exp(scale * s (J s_y + h))
+            # hidden: t = 2**16 exp(-beta dE) = exp(scale * s (J s_y + h) + 16 ln 2)
             np.multiply(coupling.T, scale, out=w_aug[:, :mm])
             np.multiply(h_k[:, 0], scale, out=w_aug[:, mm])
             np.matmul(y_aug, w_aug, out=accept_k)
             accept_k *= s_k
+            accept_k += _LOG_2_16
             np.exp(accept_k, out=accept_k)
-            _uniform32(rng.bit_generator, u_k)
-            _flip_where_below(s_k, accept_k, u_k)
+            _flip_below(rng.bit_generator, s_k, accept_k)
             # output: the same from J^T s_k + h
             np.dot(k_rows, coupling * scale, out=accept_y)
             accept = accept_y.reshape(s_y.shape)
             accept += h_y * scale
             accept *= s_y
+            accept += _LOG_2_16
             np.exp(accept, out=accept)
-            _uniform32(rng.bit_generator, u_y)
-            _flip_where_below(s_y, accept, u_y)
+            _flip_below(rng.bit_generator, s_y, accept)
     return np.concatenate((s_k > 0.0, s_y > 0.0), axis=2).astype(np.uint8)

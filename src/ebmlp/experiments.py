@@ -84,8 +84,11 @@ class RunConfig:
         for name in ("train_count", "n_hidden", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
+        # init_std = 0 is allowed: it starts every weight at zero
+        if not 0.0 <= self.init_std < math.inf:
+            raise ValueError("init_std must be >= 0 and finite")
         self.sizes = tuple(int(s) for s in self.sizes)
         if any(s < 1 for s in self.sizes):
             raise ValueError("benchmark sizes must be positive")

@@ -13,6 +13,7 @@ Each sampler has one method, ``sample_batch``: it draws raw reads for a
 whole minibatch of clamped inputs in one kernel call.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,18 +51,18 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta_eff <= 0.0:
-            raise ValueError("beta_eff must be positive")
+        if not 0.0 < self.beta_eff < math.inf:
+            raise ValueError("beta_eff must be positive and finite")
         if self.reads < 1:
             raise ValueError("reads must be >= 1")
         if self.burn_in < 0 or self.thin < 1 or self.anneal_sweeps < 1:
             raise ValueError("burn_in >= 0, thin >= 1, anneal_sweeps >= 1 required")
-        if self.anneal_beta_start <= 0.0:
-            raise ValueError("anneal_beta_start must be positive")
+        if not 0.0 < self.anneal_beta_start < math.inf:
+            raise ValueError("anneal_beta_start must be positive and finite")
         if self.anneal_schedule not in ANNEAL_SCHEDULES:
             raise ValueError(f"anneal_schedule must be one of {ANNEAL_SCHEDULES}")
-        if self.beta_sim is not None and self.beta_sim <= 0.0:
-            raise ValueError("beta_sim must be positive when given")
+        if self.beta_sim is not None and not 0.0 < self.beta_sim < math.inf:
+            raise ValueError("beta_sim must be positive and finite when given")
 
     @property
     def effective_beta_sim(self):

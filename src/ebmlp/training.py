@@ -3,6 +3,7 @@ gradient functions, plus its options, batching, per-step traces, and
 atomic output files."""
 
 import csv
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -26,8 +27,8 @@ class TrainOptions:
     use_sampled_hidden: bool = False
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ValueError("steps must be >= 0, batch_size >= 1, lr >= 0")
+        if self.steps < 0 or self.batch_size < 1 or not 0.0 <= self.lr < math.inf:
+            raise ValueError("steps must be >= 0, batch_size >= 1, lr >= 0 and finite")
 
 
 def as_batch_arrays(batch):

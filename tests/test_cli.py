@@ -220,6 +220,15 @@ class TestTrainCommand:
         assert payload["error"] == "ValueError" and "anneal_schedule" in payload["message"]
         assert not list((tmp_path / "runs").glob("trace_*.csv"))
 
+    def test_non_finite_beta_fails_before_any_trial(self, capsys, config_file, tmp_path):
+        code, out, err = run_cli(
+            capsys, "train", "--track", "quantum-sim", "--config", str(config_file()), "--beta_eff", "nan"
+        )
+        assert code == 1 and not out
+        payload = json.loads(err[0])
+        assert payload["error"] == "ValueError" and payload["message"] == "beta_eff must be positive and finite"
+        assert not list((tmp_path / "runs").glob("trace_*.csv"))
+
     @pytest.mark.parametrize("key", ["steps", "data_dir"])
     def test_none_for_a_key_with_a_default_is_rejected(self, capsys, tmp_path, key):
         out_dir = tmp_path / "runs"

@@ -71,6 +71,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="sizes"):
             RunConfig(sizes=(10, 0))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lr", math.nan), ("lr", math.inf), ("init_std", math.nan), ("init_std", math.inf), ("init_std", -1.0)],
+    )
+    def test_non_finite_or_negative_setting_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            RunConfig(**{key: value})
+
+    def test_zero_init_std_accepted(self):
+        assert RunConfig(init_std=0.0).init_std == 0.0
+
     def test_sampler_and_training_rules_apply_at_construction(self):
         with pytest.raises(ValueError, match="reads"):
             RunConfig(track="classical2", reads=0)

@@ -66,6 +66,12 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", ["beta_eff", "anneal_beta_start", "beta_sim"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            SamplerConfig(**{key: value})
+
     def test_geometric_betas(self):
         cfg = SamplerConfig(beta_eff=16.0, anneal_beta_start=0.1, anneal_sweeps=50)
         betas = cfg.anneal_betas()
@@ -363,6 +369,44 @@ class TestAnnealKernel:
             sigma = math.sqrt(rate * (1.0 - rate) / up.size)
             assert abs(float(up.mean()) - rate) <= 5.0 * sigma, (p, i, float(up.mean()), rate)
 
+    def test_zero_cost_move_always_flips(self):
+        # h = 0 and J = 0: dE = 0, so p = 1 and t = 2**16 is above every
+        # 16-bit word; three sweeps flip every spin three times
+        start = anneal_block(np.zeros((2, 6)), np.zeros((5, 1)), [], 5000, 8)
+        end = anneal_block(np.zeros((2, 6)), np.zeros((5, 1)), [0.5, 4.0, 16.0], 5000, 8)
+        np.testing.assert_array_equal(end, 1 - start)
+
+    def test_acceptance_that_underflows_never_flips(self):
+        # uphill at beta = 16 and |h| = 5: -beta dE + 16 ln 2 = -148.9, so
+        # the float32 threshold underflows to 0 and no word is below it
+        beta, h = 16.0, np.array([[5.0, -5.0, 5.0, -5.0], [-5.0, 5.0, -5.0, 5.0]])
+        assert np.exp(np.float32(-2.0 * beta * 5.0) + _kernels._LOG_2_16) == 0.0
+        start = anneal_block(h, np.zeros((3, 1)), [], 20000, 9).astype(bool)
+        end = anneal_block(h, np.zeros((3, 1)), [beta], 20000, 9).astype(bool)
+        uphill = start == (h[:, None, :] > 0)
+        assert not (start != end)[uphill].any()
+        assert (start != end)[~uphill].all()
+
+    def test_rare_uphill_flip_rate_is_the_ceiling(self):
+        # p = exp(-2 beta |h|) = 1e-5 is below 2**-16, so t = 2**16 p < 1
+        # and an uphill spin flips only on word 0: at rate
+        # ceil(2**16 p) / 2**16 = 2**-16, half again as likely as p
+        beta, p = 1.0, 1e-5
+        width, reads = 1024, 1024
+        fields = np.where(np.arange(width) % 2 == 0, 1.0, -1.0) * (-math.log(p) / (2.0 * beta))
+        h_rows, coupling = fields[None], np.zeros((width - 1, 1))
+        flips = tries = 0
+        for seed in range(16):
+            start = anneal_block(h_rows, coupling, [], reads, seed).astype(bool)
+            end = anneal_block(h_rows, coupling, [beta], reads, seed).astype(bool)
+            uphill = start == (h_rows[:, None, :] > 0)
+            flips += int((start != end)[uphill].sum())
+            tries += int(uphill.sum())
+        assert tries > 8_000_000
+        rate = math.ceil(2**16 * p) / 2**16
+        sigma = math.sqrt(rate * (1.0 - rate) / tries)
+        assert abs(flips / tries - rate) <= 4.0 * sigma, (flips, tries, rate)
+
     def test_strong_fields_give_no_numeric_warning(self):
         h_rows = np.array([[1e3, -1e3, 1e3], [-1e3, 1e3, -1e3]])
         with warnings.catch_warnings():
@@ -375,19 +419,13 @@ class TestAnnealKernel:
             anneal_block(np.zeros((1, 3)), np.zeros((1, 1)), [1.0], 4, 0)
 
 
-def reference_uniform32(bit_generator, out):
-    """The float32 uniforms as first written: (r >> 8) * 2**-24 for the
-    32-bit halves r of the raw words, cast and scaled in one multiply."""
-    flat = out.reshape(-1)
-    words = bit_generator.random_raw((flat.size + 1) // 2).view(np.uint32)[: flat.size]
-    np.right_shift(words, 8, out=words)
-    np.multiply(words, np.float32(2.0**-24), out=flat, dtype=np.float32)
-
-
 def reference_anneal_block(h_rows, coupling, betas, reads, seed):
-    """``anneal_block`` as first written, one layer at a time: a gemm for
-    the fields plus a broadcast add of h, exp(min(-beta dE, 0)), a bool
-    flip mask shifted into the sign bit. The kernel must return its bytes."""
+    """The anneal rule written decision by decision, elementwise over one
+    layer update: a gemm for the fields plus a broadcast add of h, then
+    for decision j of the update the 16-bit word in bits 16 (j mod 4) to
+    16 (j mod 4) + 15 of raw word j // 4 of the update's draw, and a flip
+    where that word is below t = exp(min(-beta dE, 0) + 16 ln 2). The
+    kernel must return its bytes."""
     h_rows = np.ascontiguousarray(np.atleast_2d(h_rows), dtype=np.float32)
     coupling = np.ascontiguousarray(coupling, dtype=np.float32)
     betas = np.ascontiguousarray(betas, dtype=np.float64)
@@ -396,23 +434,21 @@ def reference_anneal_block(h_rows, coupling, betas, reads, seed):
     n_points = h_rows.shape[0]
     s = np.where(rng.random((n_points, reads, kk + mm), dtype=np.float32) < 0.5, np.float32(1.0), np.float32(-1.0))
     s_k, s_y = np.ascontiguousarray(s[..., :kk]), np.ascontiguousarray(s[..., kk:])
+    log_2_16 = np.float32(16.0 * math.log(2.0))
     layers = []
     for spins, h, other, w in ((s_k, h_rows[:, None, :kk], s_y, coupling.T), (s_y, h_rows[:, None, kk:], s_k, coupling)):
-        buffers = np.empty_like(spins), np.empty_like(spins), np.empty(spins.shape, bool)
-        layers.append((spins, h, other.reshape(n_points * reads, other.shape[2]), w, *buffers))
+        layers.append((spins, h, other.reshape(n_points * reads, other.shape[2]), w))
     for beta in betas:
         scale = np.float32(-2.0 * beta)
-        for spins, h, other, w, accept, u, flip in layers:
-            np.dot(other, w * scale, out=accept.reshape(n_points * reads, accept.shape[2]))
-            accept += h * scale
-            accept *= spins
-            np.minimum(accept, 0.0, out=accept)
-            np.exp(accept, out=accept)
-            reference_uniform32(rng.bit_generator, u)
-            np.less(u, accept, out=flip)
-            sign = u.view(np.uint32)
-            np.left_shift(flip.view(np.uint8), 31, out=sign, dtype=np.uint32)
-            np.bitwise_xor(spins.view(np.uint32), sign, out=spins.view(np.uint32))
+        for spins, h, other, w in layers:
+            x = np.dot(other, w * scale).reshape(spins.shape)
+            x += h * scale
+            x *= spins
+            threshold = np.exp(np.minimum(x, 0.0) + log_2_16)
+            j = np.arange(spins.size, dtype=np.uint64)
+            raw = rng.bit_generator.random_raw((spins.size + 3) // 4)
+            words = (raw[j // 4] >> (16 * (j % 4))) & 0xFFFF
+            spins[words.reshape(spins.shape) < threshold] *= -1.0
     return np.concatenate((s_k > 0.0, s_y > 0.0), axis=2).astype(np.uint8)
 
 
@@ -422,16 +458,16 @@ SCHEDULES = {"geometric": np.geomspace(0.1, 16.0, 40), "linear": np.linspace(0.5
 @pytest.mark.usefixtures("kernels")
 class TestAnnealKernelBytes:
     """The kernel returns the reference's reads byte for byte: the same
-    PCG64 words, uniforms, fields and flip decisions."""
+    PCG64 words, 16-bit words, fields, thresholds and flip decisions."""
 
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
     @pytest.mark.parametrize(
         "kk, mm, points, reads",
         [
             (32, 1, 5, 200),  # the training shape, with fewer reads
-            (7, 2, 3, 501),  # an odd number of hidden uniforms per sweep
-            (8, 3, 5, 201),  # an odd number of output uniforms per sweep
-            (5, 3, 1, 3),  # both odd
+            (7, 2, 3, 501),  # hidden decisions per sweep not a multiple of 4
+            (8, 3, 5, 201),  # output decisions per sweep not a multiple of 4
+            (5, 3, 1, 3),  # neither layer a multiple of 4
             (4, 1, 1, 1),  # one read
             (3, 3, 2, 1),
         ],

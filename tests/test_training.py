@@ -1,6 +1,8 @@
 """The one training loop, strict batch normalization, and atomic output
 files."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ from ebmlp.experiments import write_bqm_dump
 from ebmlp.mlp import backprop_gradient, train_mlp
 from ebmlp.models import Model, save_model
 from ebmlp.training import TrainingTrace, TrainOptions, as_batch_arrays, atomic_open, fit
+
+
+class TestTrainOptions:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr >= 0 and finite"):
+            TrainOptions(lr=lr)
 
 
 class TestAsBatchArrays:
