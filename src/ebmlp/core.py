@@ -13,7 +13,10 @@ def sigmoid(z):
     """Logistic function 1/(1+exp(-z)), elementwise and overflow-safe."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # the numerator is 1 where z >= 0 (e <= 1) and e elsewhere: both
+    # branches of the stable form in one division
+    s = np.maximum(e, z >= 0) / (1.0 + e)
+    return s if s.ndim else np.asarray(s)
 
 
 def sigmoid_prime(z):
@@ -83,6 +86,15 @@ def adam_update(state, params, grads):
         v_hat = state.v[name] / (1.0 - state.beta2**t)
         out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return out
+
+
+def require_integers(config, names):
+    """Raise ValueError unless each named attribute of ``config`` is a Python
+    or numpy integer; a bool or an integral float is not a count."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def rng_from_seed(seed):

@@ -10,6 +10,13 @@ with E as returned by :func:`energy`. Higher E means higher probability;
 all phase formulas, Gibbs conditionals, and the quadratic-model encoding
 in :mod:`ebmlp.bqm` follow this one convention and are tested for mutual
 consistency against enumeration and finite-difference oracles.
+
+Exact evaluation sums the hidden layer out in closed form
+(:func:`y_scores`). The scores are log P(y|x) relative to y = 0, taken from
+the hidden activations sigma(W1 x + b) that the feedforward reading of the
+same rows already holds, and everything read from them (prediction,
+log-likelihood, output probabilities, the exact negative phase) is
+unchanged by that per-row shift.
 """
 
 from dataclasses import dataclass
@@ -24,6 +31,10 @@ from .training import as_batch_arrays, fit_traced, label_rows, TrainOptions
 
 # 2^20 joint states is the desk-scale ceiling for exact enumeration.
 ENUMERATION_BOUND = 20
+
+# y_scores takes log1p(t) only for t at or above this: closer to -1, log1p
+# magnifies the rounding of t by more than 2^10.
+_LOG1P_FLOOR = -1.0 + 2.0**-10
 
 
 def _check_binary(v, name):
@@ -93,19 +104,37 @@ def exact_conditional(model, x):
     return ConditionalStates(states, probs / probs.sum(), model.n_hidden)
 
 
-def y_scores(model, a):
-    """Unnormalized log P(y|x) per y pattern, one row per row of the
-    pre-activation a = W1 x + b (see :func:`ebmlp.mlp.pre_activation`).
+def y_scores(model, a, h):
+    """log P(y|x) per y pattern up to a per-row constant: each row holds
+    score(y) - score(y = 0) for one row of the pre-activation
+    a = W1 x + b (see :func:`ebmlp.mlp.pre_activation`) and its hidden
+    activations h = sigma(a) (as :func:`ebmlp.mlp.outputs` returns them).
 
     The hidden layer sums out in closed form: log sum_k exp(E) =
-    c.y + sum_j softplus((W1 x + b + W2^T y)_j), so only the 2^M output
-    patterns are enumerated and any hidden width is exact. Returns the
-    patterns (LSB-first order) and the (rows, 2^M) scores.
+    c.y + sum_j softplus(a_j + v_j) with v = W2^T y, so only the 2^M output
+    patterns are enumerated and any hidden width is exact. Against y = 0
+    each hidden unit adds softplus(a_j + v_j) - softplus(a_j) =
+    log1p(h_j expm1(v_j)), one multiply and log1p on the h already at hand.
+    Where 1 + h_j expm1(v_j) falls below 2^-10 (h near 1 meeting a large
+    negative v_j, where log1p would magnify the rounding of h and expm1 by
+    over 2^10, or meet -1 exactly) or is not finite (expm1 overflows), the
+    entry takes the softplus difference instead. Returns the patterns
+    (LSB-first order) and the (rows, 2^M) scores, whose y = 0 column is
+    zero.
     """
     y_states = enumerate_states(model.n_outputs)
-    scores = np.empty((a.shape[0], y_states.shape[0]))
-    for p, yp in enumerate(y_states.astype(np.float64)):
-        scores[:, p] = yp @ model.c + softplus(a + yp @ model.w2).sum(axis=1)
+    scores = np.zeros((a.shape[0], y_states.shape[0]))
+    with np.errstate(all="ignore"):
+        for p, yp in enumerate(y_states[1:].astype(np.float64), start=1):
+            v = yp @ model.w2
+            t = h * np.expm1(v)
+            terms = np.log1p(t)
+            guard = ~((t >= _LOG1P_FLOOR) & (t < np.inf))
+            if guard.any():
+                rows, cols = np.nonzero(guard)
+                edge = a[rows, cols]
+                terms[rows, cols] = softplus(edge + v[cols]) - softplus(edge)
+            scores[:, p] = yp @ model.c + terms.sum(axis=1)
     return y_states, scores
 
 
@@ -129,10 +158,17 @@ def scored_log_likelihood(scores, labels):
     return float(np.mean(picked - logz))
 
 
+def _scored(model, x):
+    """The pre-activation of the rows of ``x``, the y patterns, and the
+    rows' y-scores."""
+    a = mlp.pre_activation(model, x)
+    return (a, *y_scores(model, a, sigmoid(a)))
+
+
 def log_conditional_y(model, x):
     """Exact log P(y|x) for every y pattern (matches the y-marginal of
     exact_conditional, tested; works for any hidden width)."""
-    y_states, scores = y_scores(model, mlp.pre_activation(model, x))
+    _, y_states, scores = _scored(model, x)
     return y_states, scores[0] - logsumexp(scores[0])
 
 
@@ -147,7 +183,8 @@ def conditional_log_likelihood(model, x, y):
 
 def predict(model, x):
     """Most probable y pattern under P(y|x); ties break to the lower index."""
-    return most_probable(*y_scores(model, mlp.pre_activation(model, x)))
+    _, y_states, scores = _scored(model, x)
+    return most_probable(y_states, scores)
 
 
 def accuracy(model, dataset):
@@ -157,7 +194,7 @@ def accuracy(model, dataset):
 
 def mean_log_likelihood(model, dataset):
     """Dataset mean of the exact conditional log-likelihood."""
-    _, scores = y_scores(model, mlp.pre_activation(model, dataset.inputs))
+    _, _, scores = _scored(model, dataset.inputs)
     return scored_log_likelihood(scores, dataset.labels)
 
 
@@ -193,8 +230,7 @@ def exact_negative_phase(model, batch):
     """Closed-form negative phase: y is marginalized exactly over P(y|x)
     (enumeration over output patterns only, so any hidden width works)."""
     x, _ = as_batch_arrays(batch)
-    a = mlp.pre_activation(model, x)
-    _, scores = y_scores(model, a)
+    a, _, scores = _scored(model, x)
     return _phase_from_y_weights(model, x, a, np.exp(scores - logsumexp(scores, axis=1)[:, None]))
 
 

@@ -93,10 +93,12 @@ def _output_probabilities(y_states, scores):
 
 
 def _readings(model, dataset):
-    """Both readings of one model on one dataset from one pre-activation:
-    the MLP outputs and the EBM's (y patterns, y-scores)."""
+    """Both readings of one model on one dataset from one pre-activation
+    and one pass of hidden activations: the MLP outputs and the EBM's
+    (y patterns, y-scores)."""
     a = mlp.pre_activation(model, dataset.inputs)
-    return mlp.outputs(model, a), ebm.y_scores(model, a)
+    z, h = mlp.outputs(model, a, return_hidden=True)
+    return z, ebm.y_scores(model, a, h)
 
 
 def run_equivalence_experiment(train_set, test_set, n_hidden=N_HIDDEN, options=None, sampler=None, init_std=INIT_STD):

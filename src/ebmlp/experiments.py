@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels import gibbs_block
 from .bqm import bqm_to_ising, bqm_to_text, build_conditional_bqm, clamp_to_hardware, ising_to_text
-from .core import rng_from_seed
+from .core import require_integers, rng_from_seed
 from .data import load_standard_split, make_binary_task
 from .ebm import train_ebm
 from .equivalence import run_equivalence_experiment
@@ -81,6 +81,7 @@ class RunConfig:
     def __post_init__(self):
         if self.track not in ALL_TRACKS:
             raise ValueError(f"unknown track {self.track!r}; choose from {ALL_TRACKS}")
+        require_integers(self, ("train_count", "n_hidden", "trials"))
         for name in ("train_count", "n_hidden", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

@@ -4,9 +4,10 @@ gradient function that :func:`ebmlp.training.fit` trains with.
 
 Evaluation of a model on a set of inputs starts from one pre-activation
 A = X W1^T + b (:func:`pre_activation`); the feedforward outputs come from
-it here (:func:`outputs`) and the energy-based y-scores in
-:func:`ebmlp.ebm.y_scores`, so a recorder that reads a model both ways
-forms the product once.
+it here (:func:`outputs`), and the energy-based y-scores
+(:func:`ebmlp.ebm.y_scores`) from it and the hidden activations sigmoid(A)
+that :func:`outputs` returns, so a recorder that reads a model both ways
+forms the product and the hidden sigmoid once.
 
 Gradients returned here are descent directions on the loss; the energy-based
 trainer in :mod:`ebmlp.ebm` returns ascent directions on the log-likelihood

@@ -21,7 +21,7 @@ import numpy as np
 # gibbs_chain is unused here but stays bound: perfbench/selftest.py patches it in this module
 from ._kernels import anneal_block, gibbs_block, gibbs_chain  # noqa: F401
 from .bqm import clamped_ising_rows
-from .core import derive_seed, rng_from_seed
+from .core import derive_seed, require_integers, rng_from_seed
 from .mlp import pre_activation
 
 ANNEAL_SCHEDULES = ("geometric", "linear")
@@ -51,6 +51,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, ("reads", "burn_in", "thin", "anneal_sweeps"))
         if not 0.0 < self.beta_eff < math.inf:
             raise ValueError("beta_eff must be positive and finite")
         if self.reads < 1:

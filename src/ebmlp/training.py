@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import adam_update, AdamState, rng_from_seed
+from .core import adam_update, AdamState, require_integers, rng_from_seed
 
 
 @dataclass
@@ -27,6 +27,7 @@ class TrainOptions:
     use_sampled_hidden: bool = False
 
     def __post_init__(self):
+        require_integers(self, ("steps", "batch_size"))
         if self.steps < 0 or self.batch_size < 1 or not 0.0 <= self.lr < math.inf:
             raise ValueError("steps must be >= 0, batch_size >= 1, lr >= 0 and finite")
 
@@ -88,10 +89,11 @@ def fit_traced(model, gradient, train_set, options, test_set, trainer):
 
     def record(step):
         a = mlp.pre_activation(model, train_set.inputs)
+        z, h = mlp.outputs(model, a, return_hidden=True)
         trace.append(
             step,
-            mlp.cross_entropy(train_labels, mlp.outputs(model, a)),
-            ebm.scored_log_likelihood(ebm.y_scores(model, a)[1], train_labels),
+            mlp.cross_entropy(train_labels, z),
+            ebm.scored_log_likelihood(ebm.y_scores(model, a, h)[1], train_labels),
             None if test_set is None else mlp.accuracy(model, test_set),
         )
 

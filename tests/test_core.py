@@ -34,6 +34,24 @@ class TestSigmoid:
         assert np.all((s >= 0.0) & (s <= 1.0))
         assert s[0] == 0.0 and s[-1] == 1.0
 
+    def test_bitwise_equal_to_the_two_branch_form(self):
+        # the single-division form against the np.where form it replaced
+        def two_branch(z):
+            z = np.asarray(z, dtype=np.float64)
+            e = np.exp(-np.abs(z))
+            return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+        rng = np.random.default_rng(7)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 709.8, -745.2, 1600.0]
+        z = np.concatenate([rng.normal(0.0, s, 20000) for s in (1e-300, 1e-8, 1.0, 10.0, 100.0, 800.0)] + [edges])
+        assert np.array_equal(sigmoid(z).view(np.uint64), two_branch(z).view(np.uint64))
+        assert np.array_equal(sigmoid(z.reshape(-1, 4)), two_branch(z.reshape(-1, 4)), equal_nan=True)
+
+    def test_zero_d_input_gives_a_zero_d_array(self):
+        s = sigmoid(2.0)
+        assert isinstance(s, np.ndarray) and s.shape == () and s.dtype == np.float64
+        assert sigmoid(np.float64(-2.0)).shape == ()
+
     def test_prime_matches_finite_difference(self):
         z = np.linspace(-4, 4, 17)
         h = 1e-6

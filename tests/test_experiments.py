@@ -79,6 +79,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{key} must be"):
             RunConfig(**{key: value})
 
+    @pytest.mark.parametrize(
+        "key",
+        ["train_count", "n_hidden", "trials", "steps", "batch_size", "reads", "burn_in", "thin", "anneal_sweeps"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, 2.5])
+    def test_non_integer_count_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            RunConfig(**{key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = RunConfig(trials=np.int64(2), steps=np.int64(3), n_hidden=np.int32(4), reads=np.int64(10))
+        assert config.train_options(0).steps == 3 and config.sampler_config(0).reads == 10
+
     def test_zero_init_std_accepted(self):
         assert RunConfig(init_std=0.0).init_std == 0.0
 

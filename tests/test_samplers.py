@@ -66,6 +66,16 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", ["reads", "burn_in", "thin", "anneal_sweeps"])
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, "3", True])
+    def test_non_integer_count_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            SamplerConfig(**{key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SamplerConfig(reads=np.int64(7), burn_in=np.int32(0), thin=np.uint8(2), anneal_sweeps=np.int64(3))
+        assert cfg.anneal_betas().shape == (3,)
+
     @pytest.mark.parametrize("key", ["beta_eff", "anneal_beta_start", "beta_sim"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_beta_rejected(self, key, value):

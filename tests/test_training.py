@@ -21,6 +21,15 @@ class TestTrainOptions:
         with pytest.raises(ValueError, match="lr >= 0 and finite"):
             TrainOptions(lr=lr)
 
+    @pytest.mark.parametrize("key", ["steps", "batch_size"])
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 4.0, False])
+    def test_non_integer_count_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            TrainOptions(**{key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert TrainOptions(steps=np.int64(3), batch_size=np.int32(2)).steps == 3
+
 
 class TestAsBatchArrays:
     def test_array_pair(self):
