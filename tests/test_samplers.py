@@ -8,6 +8,7 @@ point, independent of any sampling noise.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -428,38 +429,82 @@ class TestAnnealKernel:
         with pytest.raises(ValueError, match="columns"):
             anneal_block(np.zeros((1, 3)), np.zeros((1, 1)), [1.0], 4, 0)
 
+    @pytest.mark.parametrize(
+        "h_rows, coupling, betas, name",
+        [
+            ([[math.nan, 1.0]], np.zeros((1, 1)), [1.0], "h_rows"),
+            ([[1e39, 1.0]], np.zeros((1, 1)), [1.0], "h_rows"),  # inf in float32
+            ([[0.0, 1.0]], [[math.inf]], [1.0], "coupling"),
+            ([[0.0, 1.0]], np.zeros((1, 1)), [0.5, math.nan], "betas"),
+            ([[0.0, 1.0]], np.zeros((1, 1)), [-math.inf], "betas"),
+            ([[0.0, 1.0]], np.zeros((1, 1)), np.ones((2, 3)), "betas"),
+        ],
+        ids=["nan-field", "field-inf-in-float32", "inf-coupling", "nan-beta", "inf-beta", "2d-betas"],
+    )
+    def test_bad_inputs_are_named(self, h_rows, coupling, betas, name):
+        with pytest.raises(ValueError, match=name):
+            anneal_block(np.array(h_rows), np.array(coupling), betas, 8, 0)
+
+    def test_peak_memory_does_not_grow_with_sweeps(self):
+        # the hidden threshold tables are built a bounded chunk of sweeps at
+        # a time, never for the whole schedule at once
+        rng = rng_from_seed(61)
+        h_rows, coupling = rng.normal(size=(2, 18)), rng.normal(scale=0.3, size=(16, 2))
+
+        def peak(sweeps):
+            tracemalloc.start()
+            try:
+                anneal_block(h_rows, coupling, np.geomspace(0.1, 4.0, sweeps), 256, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) <= 1.5 * peak(20)
+
 
 def reference_anneal_block(h_rows, coupling, betas, reads, seed):
     """The anneal rule written decision by decision, elementwise over one
-    layer update: a gemm for the fields plus a broadcast add of h, then
-    for decision j of the update the 16-bit word in bits 16 (j mod 4) to
-    16 (j mod 4) + 15 of raw word j // 4 of the update's draw, and a flip
-    where that word is below t = exp(min(-beta dE, 0) + 16 ln 2). The
-    kernel must return its bytes."""
+    layer update, in the kernel's stream order. The starting bit j is bit
+    j mod 64 of raw word j // 64, hidden bits in (point, unit, read) order
+    and then output bits in (point, output, read) order. Decision j of a
+    layer update takes the 16-bit word in bits 16 (j mod 4) to
+    16 (j mod 4) + 15 of raw word j // 4 of the update's draw, in the same
+    orders, and flips where that word is below its own float32 threshold
+    t = exp(s * scale * lam + 16 ln 2), scale = -2 beta. A hidden field is
+    summed as h * scale, then + y_m * (J_m * scale) for m = 0, 1, ...; an
+    output field is the kernel's product of the hidden bits. The kernel,
+    which tables t per output pattern, must return these bytes."""
     h_rows = np.ascontiguousarray(np.atleast_2d(h_rows), dtype=np.float32)
     coupling = np.ascontiguousarray(coupling, dtype=np.float32)
-    betas = np.ascontiguousarray(betas, dtype=np.float64)
+    scales = (-2.0 * np.asarray(betas, dtype=np.float64)).astype(np.float32)
     kk, mm = coupling.shape
-    rng = np.random.default_rng(int(seed))
+    bit_generator = np.random.default_rng(int(seed)).bit_generator
     n_points = h_rows.shape[0]
-    s = np.where(rng.random((n_points, reads, kk + mm), dtype=np.float32) < 0.5, np.float32(1.0), np.float32(-1.0))
-    s_k, s_y = np.ascontiguousarray(s[..., :kk]), np.ascontiguousarray(s[..., kk:])
+    n_k, n_y = n_points * kk * reads, n_points * mm * reads
+    j = np.arange(n_k + n_y, dtype=np.uint64)
+    start = ((bit_generator.random_raw((n_k + n_y + 63) // 64)[j // 64] >> (j % 64)) & 1).astype(bool)
+    s_k, s_y = start[:n_k].reshape(n_points, kk, reads), start[n_k:].reshape(n_points, mm, reads)
+
+    def words(n):
+        j = np.arange(n, dtype=np.uint64)
+        return (bit_generator.random_raw((n + 3) // 4)[j // 4] >> (16 * (j % 4))) & 0xFFFF
+
+    def spins(bits):
+        return np.where(bits, np.float32(1.0), np.float32(-1.0))
+
     log_2_16 = np.float32(16.0 * math.log(2.0))
-    layers = []
-    for spins, h, other, w in ((s_k, h_rows[:, None, :kk], s_y, coupling.T), (s_y, h_rows[:, None, kk:], s_k, coupling)):
-        layers.append((spins, h, other.reshape(n_points * reads, other.shape[2]), w))
-    for beta in betas:
-        scale = np.float32(-2.0 * beta)
-        for spins, h, other, w in layers:
-            x = np.dot(other, w * scale).reshape(spins.shape)
-            x += h * scale
-            x *= spins
-            threshold = np.exp(np.minimum(x, 0.0) + log_2_16)
-            j = np.arange(spins.size, dtype=np.uint64)
-            raw = rng.bit_generator.random_raw((spins.size + 3) // 4)
-            words = (raw[j // 4] >> (16 * (j % 4))) & 0xFFFF
-            spins[words.reshape(spins.shape) < threshold] *= -1.0
-    return np.concatenate((s_k > 0.0, s_y > 0.0), axis=2).astype(np.uint8)
+    with np.errstate(over="ignore"):
+        for scale in scales:
+            x = h_rows[:, :kk, None] * scale
+            for m in range(mm):
+                x = x + spins(s_y[:, m, None, :]) * (coupling[:, m, None] * scale)
+            threshold = np.exp(spins(s_k) * x + log_2_16)
+            s_k = s_k ^ (words(n_k).reshape(s_k.shape) < threshold)
+            x = np.matmul(coupling.T * (2 * scale), s_k.astype(np.float32))
+            x = x + (h_rows[:, kk:] - coupling.sum(axis=0))[:, :, None] * scale
+            threshold = np.exp(spins(s_y) * x + log_2_16)
+            s_y = s_y ^ (words(n_y).reshape(s_y.shape) < threshold)
+    return np.concatenate((s_k, s_y), axis=1).transpose(0, 2, 1).astype(np.uint8)
 
 
 SCHEDULES = {"geometric": np.geomspace(0.1, 16.0, 40), "linear": np.linspace(0.5, 8.0, 25), "one-sweep": [16.0], "empty": []}
@@ -480,6 +525,7 @@ class TestAnnealKernelBytes:
             (5, 3, 1, 3),  # neither layer a multiple of 4
             (4, 1, 1, 1),  # one read
             (3, 3, 2, 1),
+            (5, 4, 2, 33),  # 16 output patterns to select among
         ],
     )
     def test_matches_the_reference(self, kk, mm, points, reads, schedule):
@@ -490,6 +536,31 @@ class TestAnnealKernelBytes:
         np.testing.assert_array_equal(
             anneal_block(h_rows, coupling, betas, reads, 19), reference_anneal_block(h_rows, coupling, betas, reads, 19)
         )
+
+    def test_one_output_tables_the_per_spin_threshold(self):
+        # with M = 1 the tabled threshold is, bit for bit, the one a per-spin
+        # kernel forms: exp(s x + 16 ln 2), x a product of the output spin
+        # and 1 with the rows J * scale and h * scale
+        kk, points = 9, 4
+        rng = rng_from_seed(53)
+        h_k, coupling = rng.normal(scale=0.7, size=(points, kk)), rng.normal(scale=0.3, size=(kk, 1))
+        h_k[0, :3], coupling[:3] = 0.0, 0.0  # zero-cost moves in both spins
+        betas = np.concatenate(([0.0], np.geomspace(0.01, 40.0, 30)))
+        scales = (-2.0 * betas).astype(np.float32)
+        h_k, coupling = h_k.astype(np.float32), coupling.astype(np.float32)
+        limit, fav = _kernels._hidden_tables(h_k, coupling, scales)
+        y_aug = np.array([[-1.0, 1.0], [1.0, 1.0]], np.float32)  # pattern p: y = 2p - 1
+        for scale, limit, fav in zip(scales, limit[..., 0], fav[..., 0]):
+            w_aug = np.concatenate((np.broadcast_to(coupling.T * scale, (points, 1, kk)), h_k[:, None, :] * scale), axis=1)
+            x = np.matmul(y_aug, w_aug).transpose(1, 0, 2)  # (P, points, K)
+            with np.errstate(over="ignore"):
+                t_up, t_down = (np.exp(s * x + _kernels._LOG_2_16) for s in (np.float32(1.0), np.float32(-1.0)))
+            held_up, held_down = fav == 1, fav == 0
+            assert not (t_up <= 65535.0)[~held_up].any() and not (t_down <= 65535.0)[~held_down].any()
+            np.testing.assert_array_equal(limit[held_up], np.ceil(t_up[held_up]))
+            np.testing.assert_array_equal(limit[held_down], np.ceil(t_down[held_down]))
+            assert (t_up[held_up] <= 65535.0).all() and (t_down[held_down] <= 65535.0).all()
+        assert (fav == 2).any() and (fav < 2).any()
 
     @pytest.mark.parametrize("mm", [1, 2, 3])
     def test_matches_the_reference_where_exp_overflows(self, mm):
