@@ -13,6 +13,14 @@ from ebmlp.data import STANDARD_SPLIT_FILES, IdxFile, find_split_file, serialize
 from ebmlp.models import Model
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regenerate-golden",
+        action="store_true",
+        help="rewrite tests/golden/ from this run's outputs (see tests/test_golden.py)",
+    )
+
+
 @pytest.fixture
 def make_model():
     """Factory for small seeded models."""
@@ -61,18 +69,16 @@ def _write_idx(path, array, compress=False):
     data = serialize_idx(idx)
     if compress:
         path = path.with_name(path.name + ".gz")
-        data = gzip.compress(data)
+        # mtime=0: the gzip header then carries no write time, so two
+        # splits written from one seed are equal in bytes
+        data = gzip.compress(data, mtime=0)
     path.write_bytes(data)
 
 
-@pytest.fixture(scope="session")
-def synthetic_split_dir(tmp_path_factory):
-    """Directory holding a small synthetic corpus in the standard layout.
-
-    60 train and 40 test images of classes 0 and 1; the test files are
-    gzipped so loaders exercise transparent decompression.
-    """
-    root = tmp_path_factory.mktemp("synthetic-split")
+def _write_synthetic_split(root):
+    """A small synthetic corpus in the standard layout under ``root``: 60
+    train and 40 test images of classes 0 and 1; the test files are gzipped
+    so loaders exercise transparent decompression."""
     rng = np.random.default_rng(1234)
     train_labels = np.array([0, 1] * 30, dtype=np.uint8)
     test_labels = np.array([0, 1] * 20, dtype=np.uint8)
@@ -82,6 +88,18 @@ def synthetic_split_dir(tmp_path_factory):
     _write_idx(root / STANDARD_SPLIT_FILES[1], train_labels)
     _write_idx(root / STANDARD_SPLIT_FILES[2], test_images, compress=True)
     _write_idx(root / STANDARD_SPLIT_FILES[3], test_labels, compress=True)
+
+
+@pytest.fixture(scope="session")
+def write_synthetic_split():
+    return _write_synthetic_split
+
+
+@pytest.fixture(scope="session")
+def synthetic_split_dir(tmp_path_factory):
+    """Directory holding the synthetic corpus of :func:`_write_synthetic_split`."""
+    root = tmp_path_factory.mktemp("synthetic-split")
+    _write_synthetic_split(root)
     return root
 
 

@@ -120,6 +120,12 @@ class TestLoadIdx:
         assert test_y.shape == (40,)
         assert train_x.dtype == np.uint8
 
+    def test_split_written_twice_is_equal_in_bytes(self, synthetic_split_dir, write_synthetic_split, tmp_path):
+        # the gzipped test files carry no write time in their headers
+        write_synthetic_split(tmp_path)
+        for path in sorted(synthetic_split_dir.iterdir()):
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=STANDARD_SPLIT_FILES[0]):
             load_standard_split(tmp_path)
