@@ -12,7 +12,6 @@ from .bqm import (
     bqm_to_text,
     build_conditional_bqm,
     clamp_to_hardware,
-    ising_to_bqm,
     ising_to_text,
 )
 from .data import Dataset, IdxFile, load_idx, load_standard_split, make_binary_task, parse_idx, serialize_idx, synthetic_task
@@ -23,14 +22,13 @@ from .ebm import (
     exact_conditional,
     grad_conditional_ll,
     mean_log_likelihood,
-    train_ebm,
 )
 from .equivalence import EquivalenceReport, run_equivalence_experiment, symmetrized_kl
 from .experiments import RunConfig, TRACKS, TrialSummary, bench_runtime, run_track, summarize_trials
-from .mlp import accuracy as mlp_accuracy, cross_entropy, forward, grad_backprop, train_mlp
+from .mlp import accuracy as mlp_accuracy, cross_entropy, forward, grad_backprop
 from .models import GradientSet, Model, initial_model, load_model, save_model
 from .samplers import ExactSampler, GibbsSampler, SamplerConfig, SimAnnealSampler, make_sampler
-from .training import TrainingTrace, TrainOptions
+from .training import train_ebm, train_mlp, TrainingTrace, TrainOptions
 
 __version__ = "0.1.0"
 
@@ -74,7 +72,6 @@ __all__ = [
     "grad_backprop",
     "grad_conditional_ll",
     "initial_model",
-    "ising_to_bqm",
     "ising_to_text",
     "load_idx",
     "load_model",

@@ -155,18 +155,6 @@ def bqm_to_ising(bqm):
     return IsingModel(bqm.n, h, j, offset)
 
 
-def ising_to_bqm(ising):
-    """Inverse of bqm_to_ising; the roundtrip is the identity on
-    coefficients up to float rounding."""
-    j = ising.j
-    quad = -4.0 * j
-    cross = j.sum(axis=1) + j.sum(axis=0)
-    diag = -2.0 * ising.h + 2.0 * cross
-    q = np.triu(quad, 1) + np.diag(diag)
-    offset = ising.offset - diag.sum() / 2.0 - np.triu(q, 1).sum() / 4.0
-    return Bqm(ising.n, q, offset)
-
-
 @dataclass
 class ClipEntry:
     term: str  # "h" or "J"

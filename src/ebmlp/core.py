@@ -1,10 +1,15 @@
-"""Activations, the ADAM rule, and seeded RNG helpers shared by all modules.
+"""Activations, the ADAM rule, seeded RNG helpers and atomic file writes
+shared by all modules; the bottom layer of the package, importing none of
+it.
 
 Everything downstream works in 64-bit floats; the helpers here keep that
 contract and stay numerically stable in the saturated sigmoid tails.
 """
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -17,12 +22,6 @@ def sigmoid(z):
     # branches of the stable form in one division
     s = np.maximum(e, z >= 0) / (1.0 + e)
     return s if s.ndim else np.asarray(s)
-
-
-def sigmoid_prime(z):
-    """Derivative of the logistic function, sigma(z) * (1 - sigma(z))."""
-    s = sigmoid(z)
-    return s * (1.0 - s)
 
 
 def softplus(z):
@@ -105,3 +104,17 @@ def rng_from_seed(seed):
 def derive_seed(base_seed, index):
     """Independent stream seed for the index-th draw site: base XOR index."""
     return int(base_seed) ^ int(index)
+
+
+@contextmanager
+def atomic_open(path, mode="w", newline=None):
+    """Write to a temp file beside ``path`` (opened with ``mode``, "w" or
+    "wb") and os.replace it into place when the block completes; if it
+    raises, ``path`` is untouched and the temp file is removed."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -1,5 +1,6 @@
-"""IDX-format ingestion, binary-task construction, and a synthetic
-linearly-separable generator for deterministic tests.
+"""IDX-format ingestion, binary-task construction, a synthetic
+linearly-separable generator for deterministic tests, and the (inputs,
+labels) batch form every gradient reads.
 
 IDX is the MNIST/Fashion-MNIST distribution format: a 4-byte big-endian
 magic (two zero bytes, element-type byte, rank byte), one 4-byte big-endian
@@ -134,6 +135,25 @@ class Dataset:
     @property
     def n_features(self):
         return self.inputs.shape[1]
+
+
+def as_batch_arrays(batch):
+    """Normalize an (X, Y) batch to float64 arrays of shape (B, N), (B, M).
+    X may be one 1-d example and Y may be (B,); anything else raises."""
+    if not (isinstance(batch, tuple) and len(batch) == 2):
+        raise ValueError("a batch is an (inputs, labels) tuple")
+    x = np.atleast_2d(np.asarray(batch[0], dtype=np.float64))
+    y = np.asarray(batch[1], dtype=np.float64)
+    if y.ndim == 1:
+        y = y[:, None]
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise ValueError(f"batch arrays disagree: inputs {x.shape}, labels {y.shape}")
+    return x, y
+
+
+def label_rows(labels, n_rows):
+    """Labels as float64 with one row per example."""
+    return np.asarray(labels, dtype=np.float64).reshape(n_rows, -1)
 
 
 def make_binary_task(train_images, train_labels, test_images, test_labels, class_a, class_b, train_count, seed):

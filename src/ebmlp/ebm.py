@@ -1,5 +1,7 @@
-"""Energy-based view: energy evaluation, exact conditionals, and the
-conditional log-likelihood gradient built from positive/negative phases.
+"""Energy-based reading of a :class:`ebmlp.models.Model`: energy
+evaluation, exact conditionals, and the conditional log-likelihood gradient
+built from positive/negative phases, whose negative phase a sampler can
+supply. Training lives in :mod:`ebmlp.training`.
 
 Convention used throughout the package: the conditional distribution over
 the binary hidden/output units with the input clamped is
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # adam_update stays bound only because perfbench/selftest.py checks that it is traced here
-from .core import adam_update, derive_seed, logsumexp, sigmoid, softplus  # noqa: F401
+from .core import adam_update, logsumexp, sigmoid, softplus  # noqa: F401
+from .data import as_batch_arrays, label_rows
 from . import mlp
 from .models import GradientSet
-from .training import as_batch_arrays, fit_traced, label_rows, TrainOptions
 
 # 2^20 joint states is the desk-scale ceiling for exact enumeration.
 ENUMERATION_BOUND = 20
@@ -273,29 +275,3 @@ def grad_conditional_ll(model, batch, sampler=None, base_seed=None, use_sampled_
     neg = negative_phase(model, batch, sampler, base_seed=base_seed, use_sampled_hidden=use_sampled_hidden)
     return pos - neg
 
-
-def sampled_gradient(sampler, options):
-    """Gradient function for :func:`ebmlp.training.fit`: the negated
-    conditional log-likelihood gradient (exact when ``sampler`` is None),
-    with the sampler seeded afresh each step from its configured seed and
-    the step index."""
-
-    def gradient(model, batch, step):
-        seed = None if sampler is None else derive_seed(sampler.config.seed, step << 20)
-        return grad_conditional_ll(
-            model, batch, sampler, base_seed=seed, use_sampled_hidden=options.use_sampled_hidden
-        ).negate()
-
-    return gradient
-
-
-def train_ebm(model, train_set, sampler, options=None, test_set=None):
-    """ADAM ascent on the sampled conditional log-likelihood gradient.
-
-    The model is updated in place. Returns a trace whose row 0 holds the
-    pre-training metrics; test accuracy is evaluated by reading the same
-    weights feedforwardly (weight transfer), matching how the trained
-    model is deployed.
-    """
-    options = options or TrainOptions()
-    return fit_traced(model, sampled_gradient(sampler, options), train_set, options, test_set, "ebm")

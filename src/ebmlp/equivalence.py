@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import INIT_STD, initial_model, N_HIDDEN
-from .training import atomic_open, fit, label_rows, StepTable, TrainOptions
+from .core import atomic_open
+from .data import label_rows
 from . import ebm, mlp
+from .models import INIT_STD, initial_model, N_HIDDEN
 from .samplers import GibbsSampler, SamplerConfig, sampler_seed
+from .training import backprop_gradient, fit, readings, sampled_gradient, StepTable, TrainOptions
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -92,15 +94,6 @@ def _output_probabilities(y_states, scores):
     return probs @ y_states.astype(np.float64)
 
 
-def _readings(model, dataset):
-    """Both readings of one model on one dataset from one pre-activation
-    and one pass of hidden activations: the MLP outputs and the EBM's
-    (y patterns, y-scores)."""
-    a = mlp.pre_activation(model, dataset.inputs)
-    z, h = mlp.outputs(model, a, return_hidden=True)
-    return z, ebm.y_scores(model, a, h)
-
-
 def run_equivalence_experiment(train_set, test_set, n_hidden=N_HIDDEN, options=None, sampler=None, init_std=INIT_STD):
     """Train an MLP (backprop) and an EBM (sampled conditional gradient)
     in lockstep from one shared Gaussian initialization and identical batch
@@ -134,11 +127,11 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=N_HIDDEN, options=N
     train_labels = label_rows(train_set.labels, len(train_set))
 
     def record(step):
-        (z_mlp, (y_states, scores_mlp)), (z_ebm, (_, scores_ebm)) = (
-            _readings(model, test_set) for model in (mlp_model, ebm_model)
+        (z_mlp, y_states, scores_mlp), (z_ebm, _, scores_ebm) = (
+            readings(model, test_set) for model in (mlp_model, ebm_model)
         )
-        (fit_mlp, (_, fit_scores_mlp)), (fit_ebm, (_, fit_scores_ebm)) = (
-            _readings(model, train_set) for model in (mlp_model, ebm_model)
+        (fit_mlp, _, fit_scores_mlp), (fit_ebm, _, fit_scores_ebm) = (
+            readings(model, train_set) for model in (mlp_model, ebm_model)
         )
         report.append(
             step=step,
@@ -153,6 +146,6 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=N_HIDDEN, options=N
             kl_nats=symmetrized_kl(z_mlp, _output_probabilities(y_states, scores_ebm)),
         )
 
-    learners = [(mlp_model, mlp.backprop_gradient), (ebm_model, ebm.sampled_gradient(sampler, options))]
+    learners = [(mlp_model, backprop_gradient), (ebm_model, sampled_gradient(sampler, options))]
     fit(learners, train_set, options, record)
     return report

@@ -20,14 +20,13 @@ import numpy as np
 
 from ._kernels import gibbs_block
 from .bqm import bqm_to_ising, bqm_to_text, build_conditional_bqm, clamp_to_hardware, ising_to_text
-from .core import require_integers, rng_from_seed
+from .core import atomic_open, require_integers, rng_from_seed
 from .data import load_standard_split, make_binary_task
-from .ebm import train_ebm
 from .equivalence import run_equivalence_experiment
-from .mlp import pre_activation, train_mlp
+from .mlp import pre_activation
 from .models import INIT_STD, initial_model, Model, N_HIDDEN
 from .samplers import GibbsSampler, make_sampler, SamplerConfig, sampler_seed
-from .training import atomic_open, TrainOptions
+from .training import train_ebm, train_mlp, TrainOptions
 
 TRACKS = ("classical1", "classical2", "quantum-sim")
 ALL_TRACKS = TRACKS + ("equivalence", "bench")

@@ -1,6 +1,6 @@
-"""Feedforward view of the shared parameter container: sigmoid MLP forward
-pass, cross-entropy loss, analytic backpropagation, and the backprop
-gradient function that :func:`ebmlp.training.fit` trains with.
+"""Feedforward reading of a :class:`ebmlp.models.Model`: the sigmoid MLP
+forward pass, cross-entropy loss, analytic backpropagation and
+thresholded prediction. Training lives in :mod:`ebmlp.training`.
 
 Evaluation of a model on a set of inputs starts from one pre-activation
 A = X W1^T + b (:func:`pre_activation`); the feedforward outputs come from
@@ -9,16 +9,16 @@ it here (:func:`outputs`), and the energy-based y-scores
 that :func:`outputs` returns, so a recorder that reads a model both ways
 forms the product and the hidden sigmoid once.
 
-Gradients returned here are descent directions on the loss; the energy-based
-trainer in :mod:`ebmlp.ebm` returns ascent directions on the log-likelihood
-and negates before the optimizer, so both modules feed ADAM the same way.
+:func:`grad_backprop` returns a descent direction on the loss; the
+energy-based gradient in :mod:`ebmlp.ebm` is an ascent direction on the
+log-likelihood, which the trainer negates, so both feed ADAM the same way.
 """
 
 import numpy as np
 
 from .core import sigmoid
+from .data import as_batch_arrays, label_rows
 from .models import GradientSet
-from .training import as_batch_arrays, fit_traced, label_rows, TrainOptions
 
 # Sigmoid outputs within float rounding of 0 or 1 would make the loss
 # infinite; the clamp bounds the loss without touching the gradient path.
@@ -88,12 +88,6 @@ def grad_backprop(model, batch):
     return GradientSet(dh.T @ x / n, d.T @ h / n, dh.mean(axis=0), d.mean(axis=0))
 
 
-def backprop_gradient(model, batch, step):
-    """Gradient function for :func:`ebmlp.training.fit`: the backprop
-    gradient, the same at every step."""
-    return grad_backprop(model, batch)
-
-
 def threshold(z):
     """Thresholds each output at 0.5; exactly 0.5 resolves to 0."""
     return (z > 0.5).astype(np.uint8)
@@ -115,12 +109,3 @@ def accuracy(model, dataset):
     """Exact-match fraction of predict() against dataset labels."""
     return exact_match(predict(model, dataset.inputs), dataset.labels)
 
-
-def train_mlp(model, train_set, options=None, test_set=None):
-    """ADAM descent on the backpropagation gradient.
-
-    The model is updated in place. Trace layout matches train_ebm (row 0 is
-    the pre-training state) and the batch sequence drawn for a given seed is
-    identical to train_ebm's, so runs of the two trainers are comparable.
-    """
-    return fit_traced(model, backprop_gradient, train_set, options or TrainOptions(), test_set, "mlp")

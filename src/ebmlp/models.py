@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rng_from_seed
-from .training import atomic_open
+from .core import atomic_open, rng_from_seed
 
 MODEL_MAGIC = b"EBMLP001"
 

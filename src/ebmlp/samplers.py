@@ -22,6 +22,7 @@ import numpy as np
 from ._kernels import anneal_block, gibbs_block, gibbs_chain  # noqa: F401
 from .bqm import clamped_ising_rows
 from .core import derive_seed, require_integers, rng_from_seed
+from .ebm import exact_conditional
 from .mlp import pre_activation
 
 ANNEAL_SCHEDULES = ("geometric", "linear")
@@ -153,17 +154,12 @@ class ExactSampler(Sampler):
 
     name = "exact"
 
-    def distribution(self, model, x):
-        from .ebm import exact_conditional
-
-        return exact_conditional(model, x)
-
     def sample_batch(self, model, xs, reads=None, seed=None):
         reads, seed = self._resolve(reads, seed)
         rng = rng_from_seed(seed)
         batch = []
         for x in np.atleast_2d(np.asarray(xs, dtype=np.float64)):
-            dist = self.distribution(model, x)
+            dist = exact_conditional(model, x)
             batch.append(np.repeat(dist.states, rng.multinomial(reads, dist.probs), axis=0))
         return np.stack(batch)
 

@@ -1,17 +1,20 @@
-"""The one training loop, :func:`fit`, which every trainer runs with its
-gradient functions, plus its options, batching, per-step traces, and
-atomic output files."""
+"""Training: the one loop, :func:`fit`, with its options and batch
+stream; the two trainers, which run it with the backprop gradient and with
+the sampled energy-based gradient; the readings they record each step; and
+the per-step tables written as CSV.
+
+:mod:`ebmlp.mlp` and :mod:`ebmlp.ebm` only read a Model; every update to
+one happens here, after both readings and the samplers in the package's
+layer order.
+"""
 
 import csv
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
-import numpy as np
-
-from .core import adam_update, AdamState, require_integers, rng_from_seed
+from .core import adam_update, AdamState, atomic_open, derive_seed, require_integers, rng_from_seed
+from .data import label_rows
+from . import ebm, mlp
 
 
 @dataclass
@@ -30,25 +33,6 @@ class TrainOptions:
         require_integers(self, ("steps", "batch_size"))
         if self.steps < 0 or self.batch_size < 1 or not 0.0 <= self.lr < math.inf:
             raise ValueError("steps must be >= 0, batch_size >= 1, lr >= 0 and finite")
-
-
-def as_batch_arrays(batch):
-    """Normalize an (X, Y) batch to float64 arrays of shape (B, N), (B, M).
-    X may be one 1-d example and Y may be (B,); anything else raises."""
-    if not (isinstance(batch, tuple) and len(batch) == 2):
-        raise ValueError("a batch is an (inputs, labels) tuple")
-    x = np.atleast_2d(np.asarray(batch[0], dtype=np.float64))
-    y = np.asarray(batch[1], dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError(f"batch arrays disagree: inputs {x.shape}, labels {y.shape}")
-    return x, y
-
-
-def label_rows(labels, n_rows):
-    """Labels as float64 with one row per example."""
-    return np.asarray(labels, dtype=np.float64).reshape(n_rows, -1)
 
 
 def batch_indices(n_examples, batch_size, rng):
@@ -77,23 +61,28 @@ def fit(learners, train_set, options, record):
         record(step)
 
 
-def fit_traced(model, gradient, train_set, options, test_set, trainer):
-    """:func:`fit` one learner, tracing train-set loss and exact
-    log-likelihood, both read from one train-set pre-activation, and
-    feedforward test accuracy (both readings take any parameter
-    container)."""
-    from . import ebm, mlp  # both import this module
+def readings(model, dataset):
+    """Both readings of one model on one dataset, from one pre-activation
+    and one pass of hidden activations: the MLP outputs, then the EBM's y
+    patterns and y-scores (see :func:`ebmlp.ebm.y_scores`)."""
+    a = mlp.pre_activation(model, dataset.inputs)
+    z, h = mlp.outputs(model, a, return_hidden=True)
+    return (z, *ebm.y_scores(model, a, h))
 
-    trace = TrainingTrace(seed=options.seed, metadata={"trainer": trainer, "lr": options.lr})
+
+def fit_traced(model, gradient, train_set, options, test_set):
+    """:func:`fit` one learner, tracing train-set loss and exact
+    log-likelihood, both from one :func:`readings` of the train set, and
+    feedforward test accuracy."""
+    trace = TrainingTrace()
     train_labels = label_rows(train_set.labels, len(train_set))
 
     def record(step):
-        a = mlp.pre_activation(model, train_set.inputs)
-        z, h = mlp.outputs(model, a, return_hidden=True)
+        z, _, scores = readings(model, train_set)
         trace.append(
             step,
             mlp.cross_entropy(train_labels, z),
-            ebm.scored_log_likelihood(ebm.y_scores(model, a, h)[1], train_labels),
+            ebm.scored_log_likelihood(scores, train_labels),
             None if test_set is None else mlp.accuracy(model, test_set),
         )
 
@@ -101,18 +90,47 @@ def fit_traced(model, gradient, train_set, options, test_set, trainer):
     return trace
 
 
-@contextmanager
-def atomic_open(path, mode="w", newline=None):
-    """Write to a temp file beside ``path`` (opened with ``mode``, "w" or
-    "wb") and os.replace it into place when the block completes; if it
-    raises, ``path`` is untouched and the temp file is removed."""
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+def backprop_gradient(model, batch, step):
+    """Gradient function for :func:`fit`: the backprop gradient, the same at
+    every step."""
+    return mlp.grad_backprop(model, batch)
+
+
+def train_mlp(model, train_set, options=None, test_set=None):
+    """ADAM descent on the backpropagation gradient.
+
+    The model is updated in place. Trace layout matches train_ebm (row 0 is
+    the pre-training state) and the batch sequence drawn for a given seed is
+    identical to train_ebm's, so runs of the two trainers are comparable.
+    """
+    return fit_traced(model, backprop_gradient, train_set, options or TrainOptions(), test_set)
+
+
+def sampled_gradient(sampler, options):
+    """Gradient function for :func:`fit`: the negated conditional
+    log-likelihood gradient (exact when ``sampler`` is None), with the
+    sampler seeded afresh each step from its configured seed and the step
+    index."""
+
+    def gradient(model, batch, step):
+        seed = None if sampler is None else derive_seed(sampler.config.seed, step << 20)
+        return ebm.grad_conditional_ll(
+            model, batch, sampler, base_seed=seed, use_sampled_hidden=options.use_sampled_hidden
+        ).negate()
+
+    return gradient
+
+
+def train_ebm(model, train_set, sampler, options=None, test_set=None):
+    """ADAM ascent on the sampled conditional log-likelihood gradient.
+
+    The model is updated in place. Returns a trace whose row 0 holds the
+    pre-training metrics; test accuracy is evaluated by reading the same
+    weights feedforwardly (weight transfer), matching how the trained
+    model is deployed.
+    """
+    options = options or TrainOptions()
+    return fit_traced(model, sampled_gradient(sampler, options), train_set, options, test_set)
 
 
 @dataclass
@@ -178,8 +196,6 @@ class TrainingTrace(StepTable):
     ebm_loglik: list = field(default_factory=list)
     test_accuracy: list = field(default_factory=list)
     kl_nats: list = field(default_factory=list)
-    seed: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def append(self, step, train_loss, ebm_loglik, test_accuracy, kl=None):
         self._add_row(step, train_loss, ebm_loglik, test_accuracy, kl)

@@ -19,7 +19,6 @@ from ebmlp.ebm import (
     conditional_log_likelihood,
     exact_conditional,
     grad_conditional_ll,
-    train_ebm,
 )
 from ebmlp.experiments import (
     RunConfig,
@@ -29,9 +28,10 @@ from ebmlp.experiments import (
     run_equivalence,
     run_track,
 )
-from ebmlp.mlp import grad_backprop, mean_cross_entropy, train_mlp
+from ebmlp.mlp import grad_backprop, mean_cross_entropy
 from ebmlp.models import Model, initial_model
 from ebmlp.samplers import GibbsSampler, SamplerConfig, SimAnnealSampler, sampler_seed
+from ebmlp.training import train_ebm, train_mlp
 
 PARAM_NAMES = ("w1", "w2", "b", "c")
 

@@ -21,7 +21,6 @@ from ebmlp.bqm import (
     build_conditional_bqm,
     clamp_to_hardware,
     clamped_ising_rows,
-    ising_to_bqm,
     ising_to_text,
 )
 from ebmlp.core import rng_from_seed
@@ -181,22 +180,6 @@ class TestIsingConversion:
                 bits_arr = np.array(bits, float)
                 spins = 2.0 * bits_arr - 1.0
                 assert abs(bqm.energy(bits_arr) - ising.energy(spins)) <= 1e-12
-
-    def test_roundtrip_identity(self):
-        rng = rng_from_seed(8)
-        for _ in range(5):
-            bqm = random_bqm(6, rng, scale=3.0)
-            back = ising_to_bqm(bqm_to_ising(bqm))
-            np.testing.assert_allclose(back.q, bqm.q, atol=1e-12)
-            assert abs(back.offset - bqm.offset) <= 1e-12
-
-    def test_reverse_roundtrip_identity(self):
-        rng = rng_from_seed(9)
-        ising = IsingModel(5, rng.normal(size=5), np.triu(rng.normal(size=(5, 5)), 1), 1.5)
-        back = bqm_to_ising(ising_to_bqm(ising))
-        np.testing.assert_allclose(back.h, ising.h, atol=1e-12)
-        np.testing.assert_allclose(back.j, ising.j, atol=1e-12)
-        assert abs(back.offset - ising.offset) <= 1e-12
 
 
 class TestClamp:

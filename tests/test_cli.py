@@ -339,7 +339,7 @@ class TestSummarizeCommand:
 
     def test_trials_listed_in_numeric_order(self, capsys, tmp_path):
         for trial in range(12):
-            trace = TrainingTrace(seed=100 + trial)
+            trace = TrainingTrace()
             trace.append(0, 0.7, -0.7, 0.5)
             trace.append(1, 0.6, -0.6, 0.8)
             trace.to_csv(tmp_path / f"trace_{trial}.csv", header_comment=f"track=classical1 trial={trial} seed={100 + trial}")

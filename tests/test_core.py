@@ -12,7 +12,6 @@ from ebmlp.core import (
     logsumexp,
     rng_from_seed,
     sigmoid,
-    sigmoid_prime,
     softplus,
 )
 
@@ -51,12 +50,6 @@ class TestSigmoid:
         s = sigmoid(2.0)
         assert isinstance(s, np.ndarray) and s.shape == () and s.dtype == np.float64
         assert sigmoid(np.float64(-2.0)).shape == ()
-
-    def test_prime_matches_finite_difference(self):
-        z = np.linspace(-4, 4, 17)
-        h = 1e-6
-        fd = (sigmoid(z + h) - sigmoid(z - h)) / (2 * h)
-        np.testing.assert_allclose(sigmoid_prime(z), fd, atol=1e-9)
 
 
 class TestSoftplus:

@@ -20,9 +20,9 @@ from ebmlp.data import (
     serialize_idx,
     synthetic_task,
 )
-from ebmlp.mlp import accuracy, train_mlp
+from ebmlp.mlp import accuracy
 from ebmlp.models import Model
-from ebmlp.training import TrainOptions
+from ebmlp.training import train_mlp, TrainOptions
 
 
 def idx_bytes(magic_type, dims, payload):

@@ -28,11 +28,10 @@ from ebmlp.ebm import (
     positive_phase,
     predict,
     state_energies,
-    train_ebm,
 )
 from ebmlp.models import GradientSet, Model
 from ebmlp.samplers import ExactSampler, GibbsSampler, SamplerConfig, SimAnnealSampler
-from ebmlp.training import TrainOptions
+from ebmlp.training import train_ebm, TrainOptions
 
 
 def oracle_energy(model, x, k_bits, y_bits):

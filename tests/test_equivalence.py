@@ -11,7 +11,7 @@ import pytest
 
 from ebmlp.core import rng_from_seed
 from ebmlp.data import synthetic_task
-from ebmlp.ebm import log_conditional_y, train_ebm
+from ebmlp.ebm import log_conditional_y
 from ebmlp.equivalence import (
     REPORT_COLUMNS,
     REPORT_SCHEMA_VERSION,
@@ -19,10 +19,10 @@ from ebmlp.equivalence import (
     run_equivalence_experiment,
     symmetrized_kl,
 )
-from ebmlp.mlp import forward, train_mlp
+from ebmlp.mlp import forward
 from ebmlp.models import Model, initial_model
 from ebmlp.samplers import ExactSampler, GibbsSampler, SamplerConfig, sampler_seed
-from ebmlp.training import TrainOptions
+from ebmlp.training import train_ebm, train_mlp, TrainOptions
 
 
 def ebm_output_probability(model, x):

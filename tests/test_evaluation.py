@@ -12,11 +12,11 @@ import pytest
 
 from ebmlp import ebm, equivalence, mlp
 from ebmlp.core import logsumexp, sigmoid, softplus
-from ebmlp.data import synthetic_task
+from ebmlp.data import label_rows, synthetic_task
 from ebmlp.ebm import enumerate_states
 from ebmlp.models import Model
 from ebmlp.samplers import ExactSampler, SamplerConfig
-from ebmlp.training import fit_traced, label_rows, TrainOptions
+from ebmlp.training import fit_traced, sampled_gradient, TrainOptions
 
 
 # References: each quantity computed from x on its own, one product per
@@ -226,7 +226,7 @@ def test_traced_fit_reads_the_test_set_feedforward_only(counted_pre_activations,
 
     monkeypatch.setattr(ebm, "y_scores", counting)
     options = TrainOptions(steps=2, batch_size=4)
-    trace = fit_traced(make_model(n=4, k=3), ebm.sampled_gradient(None, options), train, options, test, "ebm")
+    trace = fit_traced(make_model(n=4, k=3), sampled_gradient(None, options), train, options, test)
     records = len(trace.steps)
     assert _count(counted_pre_activations, train.inputs) == records
     assert _count(counted_pre_activations, test.inputs) == records

@@ -14,10 +14,9 @@ from ebmlp.mlp import (
     grad_backprop,
     mean_cross_entropy,
     predict,
-    train_mlp,
 )
 from ebmlp.models import Model
-from ebmlp.training import TrainOptions
+from ebmlp.training import train_mlp, TrainOptions
 
 
 class TestForward:
@@ -203,5 +202,4 @@ class TestTrainMlp:
         trace = train_mlp(model, data, TrainOptions(steps=2, batch_size=5, lr=0.1, seed=6), test_set=data)
         assert trace.steps == [0, 1, 2]
         assert math.isclose(trace.train_loss[0], math.log(2.0), rel_tol=1e-12)
-        assert trace.metadata["trainer"] == "mlp"
         assert all(a is not None for a in trace.test_accuracy)

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from ebmlp.core import rng_from_seed
-from ebmlp.data import synthetic_task
+from ebmlp.core import atomic_open, rng_from_seed
+from ebmlp.data import as_batch_arrays, synthetic_task
 from ebmlp.equivalence import REPORT_COLUMNS, EquivalenceReport
 from ebmlp.experiments import write_bqm_dump
-from ebmlp.mlp import backprop_gradient, train_mlp
 from ebmlp.models import Model, save_model
-from ebmlp.training import TrainingTrace, TrainOptions, as_batch_arrays, atomic_open, fit
+from ebmlp.training import backprop_gradient, fit, train_mlp, TrainingTrace, TrainOptions
 
 
 class TestTrainOptions:
