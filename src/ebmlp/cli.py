@@ -13,6 +13,7 @@ import configparser
 import dataclasses
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -165,11 +166,18 @@ def _cmd_bench(args):
     return 0
 
 
+_TRACE_NAME = re.compile(r"trace_([0-9]+)\.csv")
+
+
 def _cmd_summarize(args):
     directory = Path(args.directory)
-    traces = sorted((int(p.stem.split("_")[1]), p) for p in directory.glob("trace_*.csv"))
+    # trace_<trial>.csv exactly: a stray trace_0_old.csv or trace_notes.csv
+    # is not a trial
+    traces = sorted(
+        (int(m.group(1)), p) for p in directory.glob("trace_*.csv") if (m := _TRACE_NAME.fullmatch(p.name))
+    )
     if not traces:
-        raise FileNotFoundError(f"no trace_*.csv files in {directory}")
+        raise FileNotFoundError(f"no trace_<trial>.csv files in {directory}")
     summaries = [
         TrialSummary.from_accuracies(trial, _seed_from_comment(p), TrainingTrace.read_csv(p).test_accuracy)
         for trial, p in traces

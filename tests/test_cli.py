@@ -349,6 +349,30 @@ class TestSummarizeCommand:
         assert [t["trial"] for t in trials] == list(range(12))
         assert [t["seed"] for t in trials] == [100 + t for t in range(12)]
 
+    @staticmethod
+    def write_trace(path, trial, final_accuracy):
+        trace = TrainingTrace()
+        trace.append(0, 0.7, -0.7, 0.5)
+        trace.append(1, 0.6, -0.6, final_accuracy)
+        trace.to_csv(path, header_comment=f"track=classical1 trial={trial} seed={trial}")
+
+    def test_stray_trace_copy_is_not_a_second_trial(self, capsys, tmp_path):
+        self.write_trace(tmp_path / "trace_0.csv", 0, 0.8)
+        self.write_trace(tmp_path / "trace_1.csv", 1, 0.9)
+        self.write_trace(tmp_path / "trace_0_old.csv", 0, 0.1)
+        code, out, err = run_cli(capsys, "summarize", str(tmp_path))
+        assert code == 0 and not err
+        payload = json.loads("\n".join(out))
+        assert [(t["trial"], t["final_accuracy"]) for t in payload["trials"]] == [(0, 0.8), (1, 0.9)]
+        assert payload["aggregate"]["n_trials"] == 2
+
+    def test_trace_name_without_a_trial_number_is_ignored(self, capsys, tmp_path):
+        self.write_trace(tmp_path / "trace_0.csv", 0, 0.8)
+        (tmp_path / "trace_notes.csv").write_text("not a trace\n")
+        code, out, err = run_cli(capsys, "summarize", str(tmp_path))
+        assert code == 0 and not err
+        assert [t["trial"] for t in json.loads("\n".join(out))["trials"]] == [0]
+
     def test_empty_directory_is_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "summarize", str(tmp_path))
         assert code == 1

@@ -1,15 +1,17 @@
 """Golden outputs: every output file of the three training tracks, of the
 equivalence experiment and of ``train --dump-bqm``, made through the CLI at
-fixed seeds on the conftest 6x6 split, against ``tests/golden/``.
+fixed seeds on the conftest 6x6 split, and the raw reads of each sampler at
+fixed fields and seeds, against ``tests/golden/``.
 
 ``digests.json`` holds a SHA-256 of each file's bytes and of its text with
-every number masked, plus the fingerprint of the numpy that made them:
+every number masked, a SHA-256 of each sampler's reads, plus the
+fingerprint of the numpy that made them:
 float64 GEMM bits depend on the kernel OpenBLAS picks for the CPU, and
 float32 ``exp`` on numpy's SIMD dispatch. ``values.json`` holds each file's
 numbers in order. Under the recorded fingerprint the bytes must match. Under
-another one the byte check is skipped, naming what differs, and each file
+another one the byte checks are skipped, naming what differs, and each file
 must still match its masked text exactly and its numbers within
-VALUE_RTOL and VALUE_ATOL.
+VALUE_RTOL and VALUE_ATOL (reads are bits, with no tolerance to apply).
 
 The runs take place in a temporary working directory with relative
 ``data_dir`` and ``output_dir``, because ``summary.json`` records both.
@@ -31,6 +33,8 @@ import numpy as np
 import pytest
 
 from ebmlp.cli import main
+from ebmlp.models import Model
+from ebmlp.samplers import make_sampler, SamplerConfig
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
@@ -49,6 +53,12 @@ RUNS = {
     "quantum-sim": ["train", "--track", "quantum-sim", "--anneal_sweeps", "20", "--reads", "100", "--dump-bqm"],
     "equivalence": ["equivalence"],
 }
+
+# Each sampler's raw reads (sample_batch) for three inputs of a seeded
+# 6-3-2 model: 200 reads from seed 11, after 20 burn-in sweeps for Gibbs and
+# along 30 anneal sweeps for simanneal.
+SAMPLER_CONFIG = SamplerConfig(reads=200, burn_in=20, anneal_sweeps=30, seed=11)
+SAMPLERS = ("exact", "gibbs", "simanneal")
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|-?\b(?:inf|nan)\b")
 
@@ -94,14 +104,25 @@ def outputs(synthetic_split_dir, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def golden(outputs, request):
+def sampler_reads():
+    """{sampler name: its raw reads} at SAMPLER_CONFIG."""
+    rng = np.random.default_rng(2024)
+    model = Model(rng.normal(0.0, 1.0, (3, 6)), rng.normal(0.0, 1.0, (2, 3)), rng.normal(0.0, 0.5, 3), rng.normal(0.0, 0.5, 2))
+    xs = rng.random((3, 6))
+    return {name: make_sampler(name, SAMPLER_CONFIG).sample_batch(model, xs) for name in SAMPLERS}
+
+
+@pytest.fixture(scope="module")
+def golden(outputs, sampler_reads, request):
     if request.config.getoption("--regenerate-golden"):
         files = {}
         for name, data in outputs.items():
             text, _ = masked(data)
             files[name] = {"sha256": sha256(data), "masked_sha256": sha256(text.encode())}
+        reads = {name: sha256(raw.tobytes()) for name, raw in sampler_reads.items()}
         GOLDEN.mkdir(exist_ok=True)
-        DIGESTS.write_text(json.dumps({"fingerprint": fingerprint(), "files": files}, indent=2, sort_keys=True) + "\n")
+        digests = {"fingerprint": fingerprint(), "files": files, "sampler_reads": reads}
+        DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
         # one line per file, so a diff names the files whose numbers moved
         rows = (f"{json.dumps(name)}: {json.dumps(masked(data)[1])}" for name, data in sorted(outputs.items()))
         VALUES.write_text("{\n" + ",\n".join(rows) + "\n}\n")
@@ -113,14 +134,28 @@ def test_the_same_files_are_written(outputs, golden):
     assert sorted(outputs) == sorted(digests["files"])
 
 
-def test_output_bytes_match_the_digests(outputs, golden):
-    digests, _ = golden
+def skip_unless_fingerprint_matches(digests, what):
     recorded, here = digests["fingerprint"], fingerprint()
     if here != recorded:
         differ = {key: (recorded.get(key), here.get(key)) for key in sorted(set(recorded) | set(here)) if recorded.get(key) != here.get(key)}
-        pytest.skip(f"output bytes unchecked: numpy fingerprint differs from the digests' (recorded, here): {differ}")
+        pytest.skip(f"{what} unchecked: numpy fingerprint differs from the digests' (recorded, here): {differ}")
+
+
+def test_output_bytes_match_the_digests(outputs, golden):
+    digests, _ = golden
+    skip_unless_fingerprint_matches(digests, "output bytes")
     moved = [name for name, data in sorted(outputs.items()) if sha256(data) != digests["files"].get(name, {}).get("sha256")]
     assert moved == [], f"output bytes moved: {moved}"
+
+
+def test_sampler_reads_match_the_digests(sampler_reads, golden):
+    digests, _ = golden
+    for name, raw in sampler_reads.items():
+        assert raw.dtype == np.uint8 and raw.shape == (3, SAMPLER_CONFIG.reads, 5), name
+    assert sorted(sampler_reads) == sorted(digests["sampler_reads"])
+    skip_unless_fingerprint_matches(digests, "sampler reads")
+    moved = [name for name, raw in sorted(sampler_reads.items()) if sha256(raw.tobytes()) != digests["sampler_reads"][name]]
+    assert moved == [], f"sampler reads moved: {moved}"
 
 
 def test_output_values_match_within_tolerance(outputs, golden):
