@@ -7,12 +7,16 @@ A = X W1^T + b (:func:`pre_activation`); the feedforward outputs come from
 it here (:func:`outputs`), and the energy-based y-scores
 (:func:`ebmlp.ebm.y_scores`) from it and the hidden activations sigmoid(A)
 that :func:`outputs` returns, so a recorder that reads a model both ways
-forms the product and the hidden sigmoid once.
+forms the product and the hidden sigmoid once. :func:`accuracy`, which
+needs only the thresholded outputs, decides most rows from a float32
+product and a proven error bound instead, with :func:`predict`'s results.
 
 :func:`grad_backprop` returns a descent direction on the loss; the
 energy-based gradient in :mod:`ebmlp.ebm` is an ascent direction on the
 log-likelihood, which the trainer negates, so both feed ADAM the same way.
 """
+
+import weakref
 
 import numpy as np
 
@@ -106,6 +110,163 @@ def predict(model, x):
 
 
 def accuracy(model, dataset):
-    """Exact-match fraction of predict() against dataset labels."""
-    return exact_match(predict(model, dataset.inputs), dataset.labels)
+    """Exact-match fraction of predict() against dataset labels.
+
+    The predictions are :func:`predict`'s, bit for bit, but most rows are
+    decided from a float32 product: see :func:`_screened_predict`.
+    """
+    return exact_match(_screened_predict(model, dataset.inputs), dataset.labels)
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # and of float64
+# sigma(t) rounds to exactly 0.5 for 0 <= t below about 1.6 * 2^-53, so
+# predict's threshold is some tau in [0, TIE_BAND), not 0
+_TIE_BAND = 2.0**-50
+
+
+def _gamma(n, u):
+    """Higham's gamma_n = n u / (1 - n u): the relative error bound of an
+    n-term inner product in unit roundoff u, in any summation order."""
+    return n * u / (1.0 - n * u)
+
+
+def _screened_predict(model, inputs):
+    """predict(model, inputs), decided row by row from a float32 product.
+
+    **Screen.** L = sigma(a') W2^T + c in float64 from
+    a' = float64(fl32(X) fl32(W1)^T) + b, the product in float32 (sgemm).
+    predict computes t = sigma(a) W2^T + c from the float64 a = X W1^T + b
+    and answers sigma(t) > 0.5, that is t > tau with 0 <= tau < 2^-50
+    (:data:`_TIE_BAND`): sigma(t) is at most 0.5 for t <= 0, and above it
+    for t >= 2^-50 with any exp accurate to a few ulps. So output j of row
+    i is decided, as L > 0, once |L_ij| > E_ij >= |L_ij - t_ij| + 2^-50.
+
+    **The bound.** For row x and hidden unit k with weights w = w_k, in
+    unit roundoffs u = 2^-24 (float32) and v = 2^-53 (float64):
+
+    - fl32 rounds each x_i and w_i by a relative 1 + d, |d| <= u, so the
+      exact product of the rounded vectors is within (2u + u^2) |x|.|w| of
+      x.w;
+    - sgemm, in IEEE float32 arithmetic, computes that product within
+      gamma_n(u) (1 + u)^2 |x|.|w|, in any summation order, blocked or with
+      FMA (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      section 3.1);
+    - the float64 GEMM of predict is within gamma_n(v) |x|.|w| of x.w, and
+      the float32 result converts to float64 exactly;
+    - |x|.|w| <= ||x||_2 ||w||_2 (Cauchy-Schwarz).
+
+    So |a'_k - a_k| <= C ||x|| ||w_k|| + D_k, with
+    C = gamma_n(u) (1 + u)^2 + 2u + u^2 + gamma_n(v), and D_k covering
+    float32 underflow: fl32 of a tiny entry and each subnormal product err
+    by at most 2^-150 absolute, so D_k = 2^-148 (n + sqrt(n) (||x|| +
+    ||w_k||)) is at least twice their sum. Rounding a' + b and a + b moves
+    sigma by at most 0.23 v (|z sigma'(z)| < 0.23), and sigma' <= 1/4, so
+    |sigma(a'_k) - sigma(a_k)| <= (C ||x|| ||w_k|| + D_k) / 4 plus the
+    rounding of each sigma. Through W2:
+
+        E_ij = C ||x_i|| S_j + 2^-150 ((n + sqrt(n) ||x_i||) A_j
+               + 4 sqrt(n) S_j) + R_j + 2^-50,
+
+    with S_j = sum_k |W2_jk| ||w_k|| / 4 and A_j = sum_k |W2_jk|. The slack
+    R_j = (2^-44 + 2 gamma_K(v)) (A_j + |c_j|) covers, in both paths, sigma
+    evaluated to within 2^-46 (128 ulps of 0.5), the bias adds, the K-term
+    W2 product and the c add (|h| <= 1). E is scaled by 1 + 2^-20 for the
+    rounding of its own evaluation. Nothing in E depends on the order of
+    either GEMM's sums, so the decisions hold on any BLAS.
+
+    **Cascade.** Rows with an undecided output are recomputed in float64,
+    as X[rows] W1^T. A GEMM over a subset of rows need not equal those rows
+    of the full GEMM in bits, so they are decided with the same bound at
+    C = 2 gamma_n(v). If one is still within it, predict answers for the
+    whole set.
+
+    **Fallback.** Inputs or weights W1 beyond the float32 range, or a
+    non-finite product or screened logit, also go to predict, without the
+    screen raising a floating-point warning. A NaN bound leaves its output
+    undecided.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    n = model.n_visible
+    # gamma_n(u) needs n u < 1; no rows or no units leave nothing to screen
+    if x.ndim != 2 or x.shape[1] != n or not x.size or not model.w1.size or n * _U32 >= 0.5:
+        return predict(model, x)
+    screen = _screen_inputs(x)
+    if screen is None or not max(-model.w1.min(), model.w1.max()) < _F32_MAX:
+        return predict(model, x)
+    x32, x_norms = screen
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = x32 @ model.w1.astype(np.float32).T
+        finite = np.isfinite(product).all()
+        logits = _logits(model, product.astype(np.float64) + model.b)
+    if not (finite and np.isfinite(logits).all()):
+        return predict(model, x)
+    c32 = _gamma(n, _U32) * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32**2 + _gamma(n, _U64)
+    undecided = _undecided_rows(model, logits, x_norms, c32)
+    predicted = (logits > 0.0).astype(np.uint8)
+    if undecided.size:
+        logits = _logits(model, x[undecided] @ model.w1.T + model.b)
+        if _undecided_rows(model, logits, x_norms[undecided], 2.0 * _gamma(n, _U64)).size:
+            return predict(model, x)
+        predicted[undecided] = logits > 0.0
+    return predicted
+
+
+def _logits(model, a):
+    """t = W2 sigmoid(A) + c per row of a pre-activation A: the outputs
+    before their sigmoid."""
+    return sigmoid(a) @ model.w2.T + model.c
+
+
+def _undecided_rows(model, logits, x_norms, c):
+    """Indices of the rows of ``logits`` with an output within the error
+    bound E (see :func:`_screened_predict`) at product constant ``c``."""
+    n = model.n_visible
+    w2 = np.abs(model.w2)
+    spread = w2 @ np.sqrt(np.einsum("ij,ij->i", model.w1, model.w1)) / 4.0
+    weight = w2.sum(axis=1)
+    root_n = np.sqrt(n)
+    per_norm = c * spread + 2.0**-150 * root_n * weight
+    slack = (
+        2.0**-150 * (n * weight + 4.0 * root_n * spread)
+        + (2.0**-44 + 2.0 * _gamma(model.n_hidden, _U64)) * (weight + np.abs(model.c))
+        + _TIE_BAND
+    )
+    bound = (np.outer(x_norms, per_norm) + slack) * (1.0 + 2.0**-20)
+    # a NaN bound compares False: undecided
+    return np.flatnonzero(~np.all(np.abs(logits) > bound, axis=1))
+
+
+# One cached (weakref to inputs, float32 copy, float64 row norms) for the
+# most recent read-only input array, such as a Dataset's (which is taken not
+# to change): each step reads the same test set, and a single slot keeps at
+# most one float32 copy alive however many datasets a process holds.
+_slot = None
+
+
+def _screen_inputs(x):
+    """(float32 copy, row 2-norms) of ``x``, or None when an entry is
+    beyond the float32 range. Read-only arrays are cached in the one slot,
+    which is released before a new copy is built."""
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0]() is x and not x.flags.writeable:
+        return slot[1:]
+    slot = _slot = None
+    # no abs(): its float64 temporary would be twice the float32 copy
+    if not max(-x.min(), x.max()) < _F32_MAX:
+        return None
+    screen = (x.astype(np.float32), np.sqrt(np.einsum("ij,ij->i", x, x)))
+    if not x.flags.writeable:
+        _slot = (weakref.ref(x, _release), *screen)
+    return screen
+
+
+def _release(ref):
+    """Drops the slot once its input array is collected."""
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0] is ref:
+        _slot = None
 
