@@ -123,6 +123,18 @@ def test_tie_within_float64_rounding_goes_to_predict(spy, m, logit):
     assert spy["sigmoid_rows"][0] == 2000 and 1 <= spy["sigmoid_rows"][1] < 200
 
 
+@pytest.mark.parametrize("c", [1e-16, -1e-16, 2.0**-49])
+def test_logits_below_the_sigmoid_threshold_are_not_decided_by_sign(c):
+    # sigma(1e-16) rounds to 0.5, which predicts 0 though the logit is
+    # positive; 2^-49 is past every rounding and predicts 1
+    rng = np.random.default_rng(4)
+    x = image_like(rng, 200)
+    model = Model(rng.normal(0.0, 0.05, size=(8, WIDTH)), np.zeros((1, 8)), np.zeros(8), np.array([c]))
+    expected = mlp.predict(model, x)
+    assert np.all(expected == (c > 2.0**-52))
+    assert np.array_equal(mlp._screened_predict(model, x), expected)
+
+
 @pytest.mark.parametrize(
     "change",
     [
