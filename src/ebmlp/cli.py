@@ -13,7 +13,6 @@ import configparser
 import dataclasses
 import inspect
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .experiments import (
     run_equivalence,
     run_track,
     summarize_trials,
+    trace_files,
     write_bench_csv,
     write_bqm_dump,
 )
@@ -166,16 +166,9 @@ def _cmd_bench(args):
     return 0
 
 
-_TRACE_NAME = re.compile(r"trace_([0-9]+)\.csv")
-
-
 def _cmd_summarize(args):
     directory = Path(args.directory)
-    # trace_<trial>.csv exactly: a stray trace_0_old.csv or trace_notes.csv
-    # is not a trial
-    traces = sorted(
-        (int(m.group(1)), p) for p in directory.glob("trace_*.csv") if (m := _TRACE_NAME.fullmatch(p.name))
-    )
+    traces = trace_files(directory)
     if not traces:
         raise FileNotFoundError(f"no trace_<trial>.csv files in {directory}")
     summaries = [

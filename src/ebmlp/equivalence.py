@@ -17,7 +17,16 @@ from .data import label_rows
 from . import ebm, mlp
 from .models import INIT_STD, initial_model, N_HIDDEN
 from .samplers import GibbsSampler, SamplerConfig, sampler_seed
-from .training import backprop_gradient, fit, readings, sampled_gradient, StepTable, TrainOptions
+from .training import (
+    backprop_gradient,
+    fit,
+    readings,
+    sampled_gradient,
+    Snapshots,
+    stacked_readings,
+    StepTable,
+    TrainOptions,
+)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -97,7 +106,9 @@ def _output_probabilities(y_states, scores):
 def run_equivalence_experiment(train_set, test_set, n_hidden=N_HIDDEN, options=None, sampler=None, init_std=INIT_STD):
     """Train an MLP (backprop) and an EBM (sampled conditional gradient)
     in lockstep from one shared Gaussian initialization and identical batch
-    sequences, cross-evaluating each model's weights the other way each step.
+    sequences, cross-evaluating each model's weights the other way at each
+    step, from parameter snapshots read after training
+    (:class:`ebmlp.training.Snapshots`).
 
     The EBM's negative phase uses Gibbs sampling unless another sampler is
     given; its log-likelihood series is evaluated exactly via the closed
@@ -123,29 +134,32 @@ def run_equivalence_experiment(train_set, test_set, n_hidden=N_HIDDEN, options=N
     )
 
     # Both readings take any Model, so each model is read both ways from
-    # its own pre-activation, once per dataset and step.
+    # its own pre-activation, once per dataset and step: on the test set
+    # from one stacked product for every step of a batch, on the (small)
+    # train set per model and step.
     train_labels = label_rows(train_set.labels, len(train_set))
 
-    def record(step):
-        (z_mlp, y_states, scores_mlp), (z_ebm, _, scores_ebm) = (
-            readings(model, test_set) for model in (mlp_model, ebm_model)
-        )
-        (fit_mlp, _, fit_scores_mlp), (fit_ebm, _, fit_scores_ebm) = (
-            readings(model, train_set) for model in (mlp_model, ebm_model)
-        )
-        report.append(
-            step=step,
-            mlp_loss=mlp.cross_entropy(train_labels, fit_mlp),
-            mlp_loss_ebm_weights=mlp.cross_entropy(train_labels, fit_ebm),
-            ebm_loglik=ebm.scored_log_likelihood(fit_scores_ebm, train_labels),
-            ebm_loglik_mlp_weights=ebm.scored_log_likelihood(fit_scores_mlp, train_labels),
-            acc_mlp=mlp.exact_match(mlp.threshold(z_mlp), test_set.labels),
-            acc_mlp_ebm_weights=mlp.exact_match(mlp.threshold(z_ebm), test_set.labels),
-            acc_ebm=mlp.exact_match(ebm.most_probable(y_states, scores_ebm), test_set.labels),
-            acc_ebm_mlp_weights=mlp.exact_match(ebm.most_probable(y_states, scores_mlp), test_set.labels),
-            kl_nats=symmetrized_kl(z_mlp, _output_probabilities(y_states, scores_ebm)),
-        )
+    def evaluate(steps, snapshots, w1):
+        tested = stacked_readings([model for pair in snapshots for model in pair], w1, test_set)
+        for step, pair, (z_mlp, y_states, scores_mlp), (z_ebm, _, scores_ebm) in zip(
+            steps, snapshots, tested[::2], tested[1::2]
+        ):
+            (fit_mlp, _, fit_scores_mlp), (fit_ebm, _, fit_scores_ebm) = (readings(model, train_set) for model in pair)
+            report.append(
+                step=step,
+                mlp_loss=mlp.cross_entropy(train_labels, fit_mlp),
+                mlp_loss_ebm_weights=mlp.cross_entropy(train_labels, fit_ebm),
+                ebm_loglik=ebm.scored_log_likelihood(fit_scores_ebm, train_labels),
+                ebm_loglik_mlp_weights=ebm.scored_log_likelihood(fit_scores_mlp, train_labels),
+                acc_mlp=mlp.exact_match(mlp.threshold(z_mlp), test_set.labels),
+                acc_mlp_ebm_weights=mlp.exact_match(mlp.threshold(z_ebm), test_set.labels),
+                acc_ebm=mlp.exact_match(ebm.most_probable(y_states, scores_ebm), test_set.labels),
+                acc_ebm_mlp_weights=mlp.exact_match(ebm.most_probable(y_states, scores_mlp), test_set.labels),
+                kl_nats=symmetrized_kl(z_mlp, _output_probabilities(y_states, scores_ebm)),
+            )
 
     learners = [(mlp_model, backprop_gradient), (ebm_model, sampled_gradient(sampler, options))]
-    fit(learners, train_set, options, record)
+    snapshots = Snapshots([mlp_model, ebm_model], options.steps + 1, evaluate)
+    fit(learners, train_set, options, snapshots.record)
+    snapshots.flush()
     return report

@@ -11,6 +11,7 @@ plain CSV/JSON.
 import itertools
 import json
 import math
+import re
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -200,6 +201,17 @@ def summarize_trials(summaries):
     }
 
 
+_TRACE_NAME = re.compile(r"trace_([0-9]+)\.csv")
+
+
+def trace_files(directory):
+    """(trial, path) of each trial trace in ``directory``, in trial order:
+    files named trace_<trial>.csv exactly, so a trace_0_old.csv or
+    trace_notes.csv beside them is not a trial."""
+    matches = ((_TRACE_NAME.fullmatch(p.name), p) for p in Path(directory).glob("trace_*.csv"))
+    return sorted((int(m.group(1)), p) for m, p in matches if m)
+
+
 def run_track(config, train_set=None, test_set=None, progress=None):
     """Run all trials of a training track and write outputs.
 
@@ -216,7 +228,7 @@ def run_track(config, train_set=None, test_set=None, progress=None):
         train_set, test_set = load_task(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for stale in [*out.glob("trace_*.csv"), out / "summary.json", out / "bqm_dump.txt"]:
+    for stale in [*(path for _, path in trace_files(out)), out / "summary.json", out / "bqm_dump.txt"]:
         stale.unlink(missing_ok=True)
     traces, summaries = [], []
     for trial in range(config.trials):

@@ -10,6 +10,8 @@ that :func:`outputs` returns, so a recorder that reads a model both ways
 forms the product and the hidden sigmoid once. :func:`accuracy`, which
 needs only the thresholded outputs, decides most rows from a float32
 product and a proven error bound instead, with :func:`predict`'s results.
+Many models are read at once from one product of the inputs with their
+W1s stacked (:func:`stacked_products`, :func:`accuracies`).
 
 :func:`grad_backprop` returns a descent direction on the loss; the
 energy-based gradient in :mod:`ebmlp.ebm` is an ascent direction on the
@@ -113,9 +115,36 @@ def accuracy(model, dataset):
     """Exact-match fraction of predict() against dataset labels.
 
     The predictions are :func:`predict`'s, bit for bit, but most rows are
-    decided from a float32 product: see :func:`_screened_predict`.
+    decided from a float32 product: see :func:`_screened_predictions`.
     """
-    return exact_match(_screened_predict(model, dataset.inputs), dataset.labels)
+    return accuracies([model], dataset)[0]
+
+
+def accuracies(models, dataset):
+    """:func:`accuracy` of each of ``models`` on ``dataset``, from one
+    float32 product of the inputs with all their W1s stacked."""
+    return [exact_match(p, dataset.labels) for p in _screened_predictions(models, dataset.inputs)]
+
+
+# Bytes of each row chunk of a stacked product (see stacked_products)
+STACK_CHUNK_BYTES = 2**22
+
+
+def stacked_products(x, w):
+    """(rows, x[rows] @ w.T) for consecutive row chunks of ``x``, each
+    product at most STACK_CHUNK_BYTES where 64 rows fit in that.
+
+    ``w`` stacks the W1s of many models, so one GEMM forms every model's
+    pre-activation (less the bias) and each model reads its columns. The
+    chunks are whole multiples of 64 rows: a row-wise product over a chunk
+    of these columns, such as the outputs' sigma(A) W2^T, then rounds each
+    row as it does over the whole set (OpenBLAS's GEMV kernels treat rows in
+    groups, and leftover rows apart).
+    """
+    step = max(64, STACK_CHUNK_BYTES // max(1, w.shape[0] * x.itemsize) // 64 * 64)
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
+        yield rows, x[rows] @ w.T
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -132,8 +161,9 @@ def _gamma(n, u):
     return n * u / (1.0 - n * u)
 
 
-def _screened_predict(model, inputs):
-    """predict(model, inputs), decided row by row from a float32 product.
+def _screened_predictions(models, inputs):
+    """predict(model, inputs) for each of ``models``, decided row by row
+    from a float32 product.
 
     **Screen.** L = sigma(a') W2^T + c in float64 from
     a' = float64(fl32(X) fl32(W1)^T) + b, the product in float32 (sgemm).
@@ -142,6 +172,12 @@ def _screened_predict(model, inputs):
     (:data:`_TIE_BAND`): sigma(t) is at most 0.5 for t <= 0, and above it
     for t >= 2^-50 with any exp accurate to a few ulps. So output j of row
     i is decided, as L > 0, once |L_ij| > E_ij >= |L_ij - t_ij| + 2^-50.
+
+    **Stacking.** The float32 W1s of all the models are stacked, so one
+    sgemm, made in row chunks (:func:`stacked_products`), forms every
+    model's product, and each model reads its own columns. The bound below
+    holds for any order of the sums, so the decisions do not depend on the
+    stacking.
 
     **The bound.** For row x and hidden unit k with weights w = w_k, in
     unit roundoffs u = 2^-24 (float32) and v = 2^-53 (float64):
@@ -188,27 +224,44 @@ def _screened_predict(model, inputs):
     undecided.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    n = model.n_visible
+    predicted = [None] * len(models)
     # gamma_n(u) needs n u < 1; no rows or no units leave nothing to screen
-    if x.ndim != 2 or x.shape[1] != n or not x.size or not model.w1.size or n * _U32 >= 0.5:
-        return predict(model, x)
-    screen = _screen_inputs(x)
-    if screen is None or not max(-model.w1.min(), model.w1.max()) < _F32_MAX:
-        return predict(model, x)
-    x32, x_norms = screen
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = x32 @ model.w1.astype(np.float32).T
-        finite = np.isfinite(product).all()
-        logits = _logits(model, product.astype(np.float64) + model.b)
-    if not (finite and np.isfinite(logits).all()):
-        return predict(model, x)
+    screenable = x.ndim == 2 and x.size and x.shape[1] * _U32 < 0.5
+    stack = [i for i, model in enumerate(models) if screenable and model.n_visible == x.shape[1] and model.w1.size]
+    screen = _screen_inputs(x) if stack else None
+    stack = [i for i in stack if screen is not None and max(-models[i].w1.min(), models[i].w1.max()) < _F32_MAX]
+    if stack:
+        x32, x_norms = screen
+        bounds = np.cumsum([0, *(models[i].n_hidden for i in stack)])
+        w32 = np.empty((bounds[-1], x.shape[1]), dtype=np.float32)
+        for i, lo, hi in zip(stack, bounds, bounds[1:]):
+            w32[lo:hi] = models[i].w1
+        logits = [np.empty((x.shape[0], models[i].n_outputs)) for i in stack]
+        finite = [True] * len(stack)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, product in stacked_products(x32, w32):
+                for j, (i, lo, hi) in enumerate(zip(stack, bounds, bounds[1:])):
+                    part = product[:, lo:hi]
+                    finite[j] = finite[j] and np.isfinite(part).all()
+                    logits[j][rows] = _logits(models[i], part.astype(np.float64) + models[i].b)
+        for i, ok, screened in zip(stack, finite, logits):
+            if ok and np.isfinite(screened).all():
+                predicted[i] = _decide(models[i], x, x_norms, screened)
+    return [predict(model, x) if p is None else p for model, p in zip(models, predicted)]
+
+
+def _decide(model, x, x_norms, logits):
+    """The predictions of ``model`` from its finite screened ``logits``
+    over the rows of ``x``, with the float64 cascade on the undecided rows;
+    None when a row is still too close to call."""
+    n = model.n_visible
     c32 = _gamma(n, _U32) * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32**2 + _gamma(n, _U64)
     undecided = _undecided_rows(model, logits, x_norms, c32)
     predicted = (logits > 0.0).astype(np.uint8)
     if undecided.size:
         logits = _logits(model, x[undecided] @ model.w1.T + model.b)
         if _undecided_rows(model, logits, x_norms[undecided], 2.0 * _gamma(n, _U64)).size:
-            return predict(model, x)
+            return None
         predicted[undecided] = logits > 0.0
     return predicted
 
@@ -221,7 +274,7 @@ def _logits(model, a):
 
 def _undecided_rows(model, logits, x_norms, c):
     """Indices of the rows of ``logits`` with an output within the error
-    bound E (see :func:`_screened_predict`) at product constant ``c``."""
+    bound E (see :func:`_screened_predictions`) at product constant ``c``."""
     n = model.n_visible
     w2 = np.abs(model.w2)
     spread = w2 @ np.sqrt(np.einsum("ij,ij->i", model.w1, model.w1)) / 4.0

@@ -1,7 +1,8 @@
 """Training: the one loop, :func:`fit`, with its options and batch
 stream; the two trainers, which run it with the backprop gradient and with
-the sampled energy-based gradient; the readings they record each step; and
-the per-step tables written as CSV.
+the sampled energy-based gradient; the parameter snapshots they record each
+step and the readings taken from them after training; and the per-step
+tables written as CSV.
 
 :mod:`ebmlp.mlp` and :mod:`ebmlp.ebm` only read a Model; every update to
 one happens here, after both readings and the samplers in the package's
@@ -12,9 +13,12 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .core import adam_update, AdamState, atomic_open, derive_seed, require_integers, rng_from_seed
 from .data import label_rows
 from . import ebm, mlp
+from .models import Model
 
 
 @dataclass
@@ -70,23 +74,102 @@ def readings(model, dataset):
     return (z, *ebm.y_scores(model, a, h))
 
 
+def stacked_readings(models, w1, dataset):
+    """:func:`readings` of each of ``models`` on ``dataset``, with every
+    pre-activation read from the columns of one product of the inputs with
+    ``w1``, the models' W1s stacked in order, made in row chunks
+    (:func:`ebmlp.mlp.stacked_products`).
+
+    A GEMM's column slices need not equal each model's own product in bits.
+    On the OpenBLAS the goldens record they do at 784 inputs and 32 units
+    from 40 rows up, not at 20 rows or at 36 inputs and 8 units; elsewhere
+    they agree within rounding.
+    """
+    x = np.asarray(dataset.inputs, dtype=np.float64)
+    bounds = np.cumsum([0, *(model.n_hidden for model in models)])
+    z = [np.empty((x.shape[0], model.n_outputs)) for model in models]
+    scores = [np.empty((x.shape[0], 2**model.n_outputs)) for model in models]
+    for rows, product in mlp.stacked_products(x, w1):
+        for model, lo, hi, model_z, model_scores in zip(models, bounds, bounds[1:], z, scores):
+            a = product[:, lo:hi] + model.b
+            out, h = mlp.outputs(model, a, return_hidden=True)
+            model_z[rows] = out
+            model_scores[rows] = ebm.y_scores(model, a, h)[1]
+    return [(out, ebm.enumerate_states(model.n_outputs), s) for model, out, s in zip(models, z, scores)]
+
+
+# A recorder holds at most this many bytes of parameter snapshots, then
+# evaluates them. At 784 x 32 a model's snapshot is 200 KB, so a 20-step
+# run (21 records) is evaluated in one batch, for one model (83 records
+# fit) or for the equivalence experiment's two (41 fit).
+SNAPSHOT_BYTES = 2**24
+
+
+class Snapshots:
+    """Copies of the parameters of ``models``, taken by :meth:`record` at
+    each step of :func:`fit` for evaluation after it, in batches.
+
+    Every W1 copy is a view of one array that stacks them by record, then
+    model, so a batch's evaluation can read them all with one product.
+    ``evaluate(steps, snapshots, w1)`` takes the recorded steps in order, one
+    list of model copies per step and that array. It runs when the buffer
+    holds ``records`` (the number :func:`fit` will make) or SNAPSHOT_BYTES
+    worth, and at :meth:`flush`, which the recorder calls after :func:`fit`
+    returns; the buffer is then reused.
+    """
+
+    def __init__(self, models, records, evaluate):
+        self.models, self.evaluate = models, evaluate
+        per_record = sum(array.nbytes for model in models for array in model.params().values())
+        self.capacity = max(1, min(records, SNAPSHOT_BYTES // per_record))
+        self.units = sum(model.n_hidden for model in models)
+        self.w1 = np.empty((self.capacity * self.units, models[0].n_visible))
+        self.steps, self.snapshots = [], []
+
+    def record(self, step):
+        row = len(self.steps) * self.units
+        copies = []
+        for model in self.models:
+            w1 = self.w1[row : row + model.n_hidden]
+            w1[...] = model.w1
+            row += model.n_hidden
+            copies.append(Model(w1, model.w2.copy(), model.b.copy(), model.c.copy()))
+        self.steps.append(step)
+        self.snapshots.append(copies)
+        if len(self.steps) == self.capacity:
+            self.flush()
+
+    def flush(self):
+        """Evaluates the snapshots held, if any, and empties the buffer."""
+        if self.steps:
+            self.evaluate(self.steps, self.snapshots, self.w1[: len(self.steps) * self.units])
+        self.steps, self.snapshots = [], []
+
+
 def fit_traced(model, gradient, train_set, options, test_set):
     """:func:`fit` one learner, tracing train-set loss and exact
     log-likelihood, both from one :func:`readings` of the train set, and
-    feedforward test accuracy."""
+    feedforward test accuracy, read from :class:`Snapshots` after training:
+    the test set for all of a batch's steps at once (:func:`ebmlp.mlp.accuracies`),
+    the train set per step."""
     trace = TrainingTrace()
     train_labels = label_rows(train_set.labels, len(train_set))
 
-    def record(step):
-        z, _, scores = readings(model, train_set)
-        trace.append(
-            step,
-            mlp.cross_entropy(train_labels, z),
-            ebm.scored_log_likelihood(scores, train_labels),
-            None if test_set is None else mlp.accuracy(model, test_set),
-        )
+    def evaluate(steps, snapshots, _):
+        copies = [copy for copy, in snapshots]
+        accuracies = [None] * len(copies) if test_set is None else mlp.accuracies(copies, test_set)
+        for step, copy, accuracy in zip(steps, copies, accuracies):
+            z, _, scores = readings(copy, train_set)
+            trace.append(
+                step,
+                mlp.cross_entropy(train_labels, z),
+                ebm.scored_log_likelihood(scores, train_labels),
+                accuracy,
+            )
 
-    fit([(model, gradient)], train_set, options, record)
+    snapshots = Snapshots([model], options.steps + 1, evaluate)
+    fit([(model, gradient)], train_set, options, snapshots.record)
+    snapshots.flush()
     return trace
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ebmlp.experiments as experiments
+from ebmlp import ebm, equivalence, mlp
 from ebmlp.data import load_standard_split, make_binary_task, synthetic_task
 from ebmlp.experiments import (
     ACCURACY_TARGET,
@@ -298,6 +299,41 @@ class TestRunTrack:
         payload = json.loads(open(f"{config.output_dir}/summary.json").read())
         assert payload["trials"][0]["failed"] is True
 
+    def test_files_that_are_not_traces_survive_a_run(self, small_config):
+        config = small_config(track="classical1", trials=1, steps=2)
+        out = Path(config.output_dir)
+        out.mkdir(parents=True)
+        for name in ("trace_notes.csv", "trace_0_old.csv", "trace_7.csv"):
+            (out / name).write_text("from elsewhere\n")
+        run_track(config)
+        assert (out / "trace_notes.csv").read_text() == "from elsewhere\n"
+        assert (out / "trace_0_old.csv").read_text() == "from elsewhere\n"
+        # a trial trace from an earlier run is removed
+        assert not (out / "trace_7.csv").exists()
+
+    @pytest.mark.parametrize("where", ["gradient", "evaluation"])
+    def test_trial_raising_in_training_or_evaluation_writes_no_trace(self, small_config, monkeypatch, where):
+        """Trial 0 raises in its third gradient, mid-training, or in the
+        evaluation after training; it is marked failed and leaves no trace,
+        and trial 1 runs as usual."""
+        config = small_config(track="classical1")
+        calls = itertools.count()
+        target, name = (mlp, "grad_backprop") if where == "gradient" else (mlp, "accuracies")
+        original = getattr(target, name)
+
+        def failing(*args, **kwargs):
+            if next(calls) == (2 if where == "gradient" else 0):
+                raise RuntimeError(f"injected {where} failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, failing)
+        run_track(config)
+        out = Path(config.output_dir)
+        trials = json.loads((out / "summary.json").read_text())["trials"]
+        assert [t["failed"] for t in trials] == [True, False]
+        assert trials[0]["error"] == f"RuntimeError: injected {where} failure"
+        assert [p.name for p in sorted(out.glob("trace_*.csv"))] == ["trace_1.csv"]
+
     def test_progress_callback(self, small_config):
         seen = []
         config = small_config(track="classical1")
@@ -333,6 +369,25 @@ class TestRunEquivalence:
         monkeypatch.setattr(experiments, "run_equivalence_experiment", fail)
         with pytest.raises(RuntimeError, match="injected failure"):
             run_equivalence(config)
+        assert not (out / "equivalence.csv").exists()
+        assert not (out / "equivalence.json").exists()
+
+    @pytest.mark.parametrize("where", ["gradient", "evaluation"])
+    def test_run_raising_in_training_or_evaluation_leaves_no_report(self, small_config, monkeypatch, where):
+        config = small_config(track="equivalence", steps=3, n_hidden=2, reads=100)
+        calls = itertools.count()
+        target, name = (ebm, "grad_conditional_ll") if where == "gradient" else (equivalence, "stacked_readings")
+        original = getattr(target, name)
+
+        def failing(*args, **kwargs):
+            if next(calls) == (2 if where == "gradient" else 0):
+                raise RuntimeError(f"injected {where} failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, failing)
+        with pytest.raises(RuntimeError, match=f"injected {where} failure"):
+            run_equivalence(config)
+        out = Path(config.output_dir)
         assert not (out / "equivalence.csv").exists()
         assert not (out / "equivalence.json").exists()
 

@@ -1,5 +1,5 @@
 """mlp.accuracy decides most rows from a float32 product and an error bound
-(see mlp._screened_predict), recomputes undecided rows in float64 and falls
+(see mlp._screened_predictions), recomputes undecided rows in float64 and falls
 back to predict for the whole set when a row is still too close to call.
 Its predictions must equal predict's elementwise, on every path."""
 
@@ -73,7 +73,7 @@ def test_screened_predictions_equal_predict_across_adam_steps(m):
 
     def record(step):
         expected = mlp.predict(model, x)
-        got = mlp._screened_predict(model, x)
+        got = mlp._screened_predictions([model], x)[0]
         assert got.dtype == expected.dtype and np.array_equal(got, expected), step
         # labels equal to predict's outputs: every row must match in full
         assert mlp.accuracy(model, Rows(x, expected)) == 1.0
@@ -103,7 +103,7 @@ def near_tie(rng, m, logit):
 def test_near_tie_row_is_decided_by_the_float64_cascade(spy, m, logit):
     rows, model = near_tie(np.random.default_rng(80 + m), m, logit)
     spy["predict"], spy["sigmoid_rows"] = 0, []
-    predicted = mlp._screened_predict(model, rows.inputs)
+    predicted = mlp._screened_predictions([model], rows.inputs)[0]
     assert np.array_equal(predicted, rows.labels)
     assert predicted[7, -1] == (logit > 0)
     # the screen (2000 rows), then the cascade on the few undecided rows
@@ -117,7 +117,7 @@ def test_near_tie_row_is_decided_by_the_float64_cascade(spy, m, logit):
 def test_tie_within_float64_rounding_goes_to_predict(spy, m, logit):
     rows, model = near_tie(np.random.default_rng(90 + m), m, logit)
     spy["predict"], spy["sigmoid_rows"] = 0, []
-    predicted = mlp._screened_predict(model, rows.inputs)
+    predicted = mlp._screened_predictions([model], rows.inputs)[0]
     assert np.array_equal(predicted, rows.labels)
     assert spy["predict"] == 1
     assert spy["sigmoid_rows"][0] == 2000 and 1 <= spy["sigmoid_rows"][1] < 200
@@ -132,7 +132,7 @@ def test_logits_below_the_sigmoid_threshold_are_not_decided_by_sign(c):
     model = Model(rng.normal(0.0, 0.05, size=(8, WIDTH)), np.zeros((1, 8)), np.zeros(8), np.array([c]))
     expected = mlp.predict(model, x)
     assert np.all(expected == (c > 2.0**-52))
-    assert np.array_equal(mlp._screened_predict(model, x), expected)
+    assert np.array_equal(mlp._screened_predictions([model], x)[0], expected)
 
 
 @pytest.mark.parametrize(
@@ -155,8 +155,27 @@ def test_out_of_range_values_fall_back_to_predict_without_warning(spy, change):
         warnings.simplefilter("error")
         expected = mlp.predict(model, x)
         spy["predict"] = 0
-        assert np.array_equal(mlp._screened_predict(model, x), expected)
+        assert np.array_equal(mlp._screened_predictions([model], x)[0], expected)
     assert spy["predict"] == 1
+
+
+def test_stacked_models_are_each_decided_as_predict(spy):
+    """One product screens models of different widths and outputs; a
+    near-tie goes to the cascade, W1 beyond float32 and a NaN logit to
+    predict, without changing the others' decisions."""
+    rng = np.random.default_rng(8)
+    rows, near = near_tie(rng, 1, 1e-6)
+    beyond, nan = random_model(rng, 8, 1), random_model(rng, 8, 1)
+    beyond.w1[0, 0] = 1e39
+    nan.c[0] = np.nan
+    models = [random_model(rng, 32, 1), near, beyond, random_model(rng, 8, 2), nan, random_model(rng, 16, 2)]
+    expected = [mlp.predict(model, rows.inputs) for model in models]
+    spy["predict"] = 0
+    got = mlp._screened_predictions(models, rows.inputs)
+    assert all(g.dtype == e.dtype and np.array_equal(g, e) for g, e in zip(got, expected))
+    assert spy["predict"] == 2
+    labels = Rows(rows.inputs, expected[3])
+    assert mlp.accuracies(models[3:4] + models[:1], labels)[0] == 1.0
 
 
 def test_writeable_inputs_are_not_cached(monkeypatch):
