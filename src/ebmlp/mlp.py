@@ -8,10 +8,11 @@ it here (:func:`outputs`), and the energy-based y-scores
 (:func:`ebmlp.ebm.y_scores`) from it and the hidden activations sigmoid(A)
 that :func:`outputs` returns, so a recorder that reads a model both ways
 forms the product and the hidden sigmoid once. :func:`accuracy`, which
-needs only the thresholded outputs, decides most rows from a float32
-product and a proven error bound instead, with :func:`predict`'s results.
-Many models are read at once from one product of the inputs with their
-W1s stacked (:func:`stacked_products`, :func:`accuracies`).
+needs only the thresholded outputs, decides most rows in float32 instead,
+from the product to the logit, with a proven error bound and
+:func:`predict`'s results. Many models are read at once from one product
+of the inputs with their W1s stacked (:func:`stacked_products`), and
+:func:`accuracies` screens them all in one pass.
 
 :func:`grad_backprop` returns a descent direction on the loss; the
 energy-based gradient in :mod:`ebmlp.ebm` is an ascent direction on the
@@ -153,6 +154,11 @@ _U64 = 2.0**-53  # and of float64
 # sigma(t) rounds to exactly 0.5 for 0 <= t below about 1.6 * 2^-53, so
 # predict's threshold is some tau in [0, TIE_BAND), not 0
 _TIE_BAND = 2.0**-50
+# The error assumed of _sigmoid32: 128 float32 ulps of 0.5
+_SIGMOID32_ERROR = 2.0**-17
+# The float32 product x.w stays finite while ||x|| ||w|| is below this:
+# rounding grows its partial sums by less than a factor 2
+_F32_SAFE = 2.0**126
 
 
 def _gamma(n, u):
@@ -163,21 +169,27 @@ def _gamma(n, u):
 
 def _screened_predictions(models, inputs):
     """predict(model, inputs) for each of ``models``, decided row by row
-    from a float32 product.
+    in float32 arithmetic.
 
-    **Screen.** L = sigma(a') W2^T + c in float64 from
-    a' = float64(fl32(X) fl32(W1)^T) + b, the product in float32 (sgemm).
-    predict computes t = sigma(a) W2^T + c from the float64 a = X W1^T + b
-    and answers sigma(t) > 0.5, that is t > tau with 0 <= tau < 2^-50
+    **Screen.** The screened logits L = sigma32(A' + b) W2^T + c are
+    computed in float32 throughout, from the float32 product
+    A' = fl32(X) fl32(W1)^T (sgemm), float32 copies of b, W2 and c, and
+    sigma32(z) = 0.5 + 0.5 tanh(z / 2) (:func:`_sigmoid32`). predict
+    computes t = sigma(a) W2^T + c from the float64 a = X W1^T + b and
+    answers sigma(t) > 0.5, that is t > tau with 0 <= tau < 2^-50
     (:data:`_TIE_BAND`): sigma(t) is at most 0.5 for t <= 0, and above it
     for t >= 2^-50 with any exp accurate to a few ulps. So output j of row
     i is decided, as L > 0, once |L_ij| > E_ij >= |L_ij - t_ij| + 2^-50.
 
-    **Stacking.** The float32 W1s of all the models are stacked, so one
-    sgemm, made in row chunks (:func:`stacked_products`), forms every
-    model's product, and each model reads its own columns. The bound below
-    holds for any order of the sums, so the decisions do not depend on the
-    stacking.
+    **Stacking.** All the models are screened in one pass per row chunk
+    (:func:`stacked_products`): one sgemm with their float32 W1s stacked,
+    the stacked b added and sigma32 taken in place, and one sgemm with a
+    block-diagonal W2 (each model's W2^T in its own rows and columns,
+    zeros elsewhere) for every model's logits, then the stacked c. A zero
+    term is added exactly, so each logit carries the rounding of a sum of
+    its own model's K terms only. Every bound below holds for any order of
+    the sums, so the decisions depend neither on the stacking nor on the
+    BLAS.
 
     **The bound.** For row x and hidden unit k with weights w = w_k, in
     unit roundoffs u = 2^-24 (float32) and v = 2^-53 (float64):
@@ -189,39 +201,63 @@ def _screened_predictions(models, inputs):
       gamma_n(u) (1 + u)^2 |x|.|w|, in any summation order, blocked or with
       FMA (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
       section 3.1);
-    - the float64 GEMM of predict is within gamma_n(v) |x|.|w| of x.w, and
-      the float32 result converts to float64 exactly;
+    - the float64 GEMM of predict is within gamma_n(v) |x|.|w| of x.w;
     - |x|.|w| <= ||x||_2 ||w||_2 (Cauchy-Schwarz).
 
     So |a'_k - a_k| <= C ||x|| ||w_k|| + D_k, with
     C = gamma_n(u) (1 + u)^2 + 2u + u^2 + gamma_n(v), and D_k covering
     float32 underflow: fl32 of a tiny entry and each subnormal product err
     by at most 2^-150 absolute, so D_k = 2^-148 (n + sqrt(n) (||x|| +
-    ||w_k||)) is at least twice their sum. Rounding a' + b and a + b moves
-    sigma by at most 0.23 v (|z sigma'(z)| < 0.23), and sigma' <= 1/4, so
-    |sigma(a'_k) - sigma(a_k)| <= (C ||x|| ||w_k|| + D_k) / 4 plus the
-    rounding of each sigma. Through W2:
+    ||w_k||)) is at least twice their sum. As sigma' <= 1/4, sigma moves
+    by at most (C ||x|| ||w_k|| + D_k) / 4. The rest of the screen adds,
+    per output j, with A_j = sum_k |W2_jk|:
+
+    - biases: fl32 rounds b_k by a relative u, and the float32 add a' + b
+      rounds by a relative u of the sum z. As |z sigma'(z)| < 0.23, sigma
+      moves by at most u |b_k| / 4 + 0.23 u, so through W2 by
+      u sum_k |W2_jk| |b_k| / 4 + 0.23 u A_j. An add that overflows gives
+      +-inf, whose sigma32 is exactly 0 or 1: within e^-(2^127) of sigma
+      of the exact sum;
+    - sigma32: it is assumed within 2^-17 of sigma (128 float32 ulps of
+      0.5), the float32 analogue of the 2^-46 assumed of predict's sigma
+      below (tests/test_screen.py checks it on the host over a dense
+      sweep of float32 inputs). Through W2: 2^-17 A_j;
+    - W2 and c: fl32 rounds each entry by a relative u, and the K products
+      and the add of c are a (K + 1)-term float32 sum with |h| <= 1:
+      (gamma_{K+1}(u) (1 + u) + u) (A_j + |c_j|);
+    - underflow: fl32 of a tiny W2, b or c entry and each subnormal product
+      h W2_jk err by at most 2^-150 absolute (a subnormal sum is exact),
+      so 2^-148 (K + 1 + A_j) is at least twice their sum.
+
+    With the shares of the product and of predict:
 
         E_ij = C ||x_i|| S_j + 2^-150 ((n + sqrt(n) ||x_i||) A_j
-               + 4 sqrt(n) S_j) + R_j + 2^-50,
+               + 4 sqrt(n) S_j) + R_j + F_j + 2^-50,
 
-    with S_j = sum_k |W2_jk| ||w_k|| / 4 and A_j = sum_k |W2_jk|. The slack
-    R_j = (2^-44 + 2 gamma_K(v)) (A_j + |c_j|) covers, in both paths, sigma
-    evaluated to within 2^-46 (128 ulps of 0.5), the bias adds, the K-term
-    W2 product and the c add (|h| <= 1). E is scaled by 1 + 2^-20 for the
-    rounding of its own evaluation. Nothing in E depends on the order of
-    either GEMM's sums, so the decisions hold on any BLAS.
+    with S_j = sum_k |W2_jk| ||w_k|| / 4, F_j the four float32 terms above,
+    and the slack R_j = (2^-44 + 2 gamma_K(v)) (A_j + |c_j|) covering
+    predict's float64 rounding: sigma evaluated to within 2^-46 (128 ulps
+    of 0.5), the bias add, the K-term W2 product and the c add, with room
+    for a second float64 path (the cascade). E is evaluated in float64 and
+    scaled by 1 + 2^-20 for the rounding of its own evaluation. Nothing in
+    E depends on the order of any GEMM's sums, so the decisions hold on any
+    BLAS.
 
     **Cascade.** Rows with an undecided output are recomputed in float64,
     as X[rows] W1^T. A GEMM over a subset of rows need not equal those rows
     of the full GEMM in bits, so they are decided with the same bound at
-    C = 2 gamma_n(v). If one is still within it, predict answers for the
-    whole set.
+    C = 2 gamma_n(v) and F_j = 0. If one is still within it, predict
+    answers for the whole set.
 
-    **Fallback.** Inputs or weights W1 beyond the float32 range, or a
-    non-finite product or screened logit, also go to predict, without the
-    screen raising a floating-point warning. A NaN bound leaves its output
-    undecided.
+    **Fallback.** A model goes to predict, without the screen raising a
+    floating-point warning, when its W1, b, W2 or c has an entry beyond the
+    float32 range (or NaN), when max_i ||x_i|| sqrt(n) max |W1| reaches
+    2^126 (:data:`_F32_SAFE`), or when any of its screened logits is
+    non-finite. Below 2^126 every partial sum of the first sgemm is at
+    most (1 + u)^(n+3) ||x|| ||w_k|| < 2^127, so every hidden value is in
+    [0, 1] and no NaN reaches another model's logits through the zeros of
+    the block-diagonal W2. Inputs beyond the float32 range send every model
+    to predict. A NaN bound leaves its output undecided.
     """
     x = np.asarray(inputs, dtype=np.float64)
     predicted = [None] * len(models)
@@ -229,38 +265,76 @@ def _screened_predictions(models, inputs):
     screenable = x.ndim == 2 and x.size and x.shape[1] * _U32 < 0.5
     stack = [i for i, model in enumerate(models) if screenable and model.n_visible == x.shape[1] and model.w1.size]
     screen = _screen_inputs(x) if stack else None
-    stack = [i for i in stack if screen is not None and max(-models[i].w1.min(), models[i].w1.max()) < _F32_MAX]
+    stack = [i for i in stack if screen is not None and _fits_float32(models[i], screen[1].max())]
     if stack:
         x32, x_norms = screen
-        bounds = np.cumsum([0, *(models[i].n_hidden for i in stack)])
-        w32 = np.empty((bounds[-1], x.shape[1]), dtype=np.float32)
-        for i, lo, hi in zip(stack, bounds, bounds[1:]):
-            w32[lo:hi] = models[i].w1
-        logits = [np.empty((x.shape[0], models[i].n_outputs)) for i in stack]
-        finite = [True] * len(stack)
+        stacked = [models[i] for i in stack]
+        w1, b, w2, c, ends = _stack_float32(stacked)
+        logits = np.empty((x.shape[0], w2.shape[1]), dtype=np.float32)
+        c32 = _gamma(x.shape[1], _U32) * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32**2 + _gamma(x.shape[1], _U64)
+        terms = [_bound_terms(model, c32, float32=True) for model in stacked]
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows, product in stacked_products(x32, w32):
-                for j, (i, lo, hi) in enumerate(zip(stack, bounds, bounds[1:])):
-                    part = product[:, lo:hi]
-                    finite[j] = finite[j] and np.isfinite(part).all()
-                    logits[j][rows] = _logits(models[i], part.astype(np.float64) + models[i].b)
-        for i, ok, screened in zip(stack, finite, logits):
-            if ok and np.isfinite(screened).all():
-                predicted[i] = _decide(models[i], x, x_norms, screened)
+            for rows, product in stacked_products(x32, w1):
+                product += b
+                np.matmul(_sigmoid32(product), w2, out=logits[rows])
+                logits[rows] += c
+            close = _close(logits, x_norms, *map(np.concatenate, zip(*terms)))
+        finite = np.isfinite(logits).all(axis=0)
+        for i, model, lo, hi in zip(stack, stacked, ends, ends[1:]):
+            if finite[lo:hi].all():
+                undecided = np.flatnonzero(close[:, lo:hi].any(axis=1))
+                predicted[i] = _decide(model, x, x_norms, logits[:, lo:hi], undecided)
     return [predict(model, x) if p is None else p for model, p in zip(models, predicted)]
 
 
-def _decide(model, x, x_norms, logits):
+def _fits_float32(model, x_norm):
+    """Whether ``model`` can be screened in float32 from inputs of 2-norm
+    at most ``x_norm``: every parameter within the float32 range, and every
+    product below _F32_SAFE (see :func:`_screened_predictions`)."""
+    extent = [max(-p.min(), p.max()) for p in (model.w1, model.b, model.w2, model.c) if p.size]
+    # NaN compares False
+    return (
+        all(e < _F32_MAX for e in extent)
+        and x_norm * np.sqrt(model.n_visible) * extent[0] < _F32_SAFE
+        and (model.n_hidden + 1) * _U32 < 0.5
+    )
+
+
+def _stack_float32(models):
+    """Float32 (W1s stacked by row, bs stacked, block-diagonal W2^T, cs
+    stacked) of ``models``, and the bounds of each model's columns of
+    W2^T."""
+    hidden = np.cumsum([0, *(model.n_hidden for model in models)])
+    ends = np.cumsum([0, *(model.n_outputs for model in models)])
+    w1 = np.empty((hidden[-1], models[0].n_visible), dtype=np.float32)
+    w2 = np.zeros((hidden[-1], ends[-1]), dtype=np.float32)
+    for model, k0, k1, j0, j1 in zip(models, hidden, hidden[1:], ends, ends[1:]):
+        w1[k0:k1] = model.w1
+        w2[k0:k1, j0:j1] = model.w2.T
+    b = np.concatenate([model.b for model in models]).astype(np.float32)
+    c = np.concatenate([model.c for model in models]).astype(np.float32)
+    return w1, b, w2, c, ends
+
+
+def _sigmoid32(a):
+    """sigma(a) as 0.5 + 0.5 tanh(a / 2), in place on a float32 array.
+    Assumed within _SIGMOID32_ERROR of the exact sigma."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a *= 0.5
+    a += 0.5
+    return a
+
+
+def _decide(model, x, x_norms, logits, undecided):
     """The predictions of ``model`` from its finite screened ``logits``
-    over the rows of ``x``, with the float64 cascade on the undecided rows;
-    None when a row is still too close to call."""
-    n = model.n_visible
-    c32 = _gamma(n, _U32) * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32**2 + _gamma(n, _U64)
-    undecided = _undecided_rows(model, logits, x_norms, c32)
+    over the rows of ``x``, with the float64 cascade on the ``undecided``
+    rows; None when a row is still too close to call."""
     predicted = (logits > 0.0).astype(np.uint8)
     if undecided.size:
         logits = _logits(model, x[undecided] @ model.w1.T + model.b)
-        if _undecided_rows(model, logits, x_norms[undecided], 2.0 * _gamma(n, _U64)).size:
+        cascade = _bound_terms(model, 2.0 * _gamma(model.n_visible, _U64))
+        if _close(logits, x_norms[undecided], *cascade).any():
             return None
         predicted[undecided] = logits > 0.0
     return predicted
@@ -272,23 +346,39 @@ def _logits(model, a):
     return sigmoid(a) @ model.w2.T + model.c
 
 
-def _undecided_rows(model, logits, x_norms, c):
-    """Indices of the rows of ``logits`` with an output within the error
-    bound E (see :func:`_screened_predictions`) at product constant ``c``."""
-    n = model.n_visible
+def _bound_terms(model, c, float32=False):
+    """(per_norm, slack) per output of ``model``, for the error bound
+    E_ij = (||x_i|| per_norm_j + slack_j) (1 + 2^-20) at product constant
+    ``c`` (see :func:`_screened_predictions`); ``float32`` adds the float32
+    screen's terms F_j."""
+    n, k = model.n_visible, model.n_hidden
     w2 = np.abs(model.w2)
     spread = w2 @ np.sqrt(np.einsum("ij,ij->i", model.w1, model.w1)) / 4.0
     weight = w2.sum(axis=1)
+    total = weight + np.abs(model.c)
     root_n = np.sqrt(n)
     per_norm = c * spread + 2.0**-150 * root_n * weight
     slack = (
         2.0**-150 * (n * weight + 4.0 * root_n * spread)
-        + (2.0**-44 + 2.0 * _gamma(model.n_hidden, _U64)) * (weight + np.abs(model.c))
+        + (2.0**-44 + 2.0 * _gamma(k, _U64)) * total
         + _TIE_BAND
     )
+    if float32:
+        slack += (
+            _U32 * (w2 @ np.abs(model.b) / 4.0 + 0.23 * weight)
+            + _SIGMOID32_ERROR * weight
+            + (_gamma(k + 1, _U32) * (1.0 + _U32) + _U32) * total
+            + 2.0**-148 * (k + 1 + weight)
+        )
+    return per_norm, slack
+
+
+def _close(logits, x_norms, per_norm, slack):
+    """Whether each entry of ``logits`` lies within its error bound
+    E_ij = (x_norms_i per_norm_j + slack_j) (1 + 2^-20); a NaN bound counts
+    as close."""
     bound = (np.outer(x_norms, per_norm) + slack) * (1.0 + 2.0**-20)
-    # a NaN bound compares False: undecided
-    return np.flatnonzero(~np.all(np.abs(logits) > bound, axis=1))
+    return ~(np.abs(logits) > bound)
 
 
 # One cached (weakref to inputs, float32 copy, float64 row norms) for the
